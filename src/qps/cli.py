@@ -2,8 +2,9 @@
 
 Subcommands: poly, theta, angle-dist, action-dist, wigner, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical non-convergence.  The QPS_THREADS environment variable caps
-sweep parallelism (0 or unset picks a small automatic pool).
+3 numerical non-convergence or overflow.  The QPS_THREADS environment
+variable is validated (a non-negative integer) but has no effect: sweeps
+run serially, as the pure-Python kernels hold the interpreter lock.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,6 +71,7 @@ def make_config(q, mu, n, grid_points, tol, fmt, out) -> RunConfig:
 
 
 def worker_count() -> int:
+    """QPS_THREADS as validated; the value is accepted for compatibility only."""
     raw = os.environ.get("QPS_THREADS", "0")
     try:
         value = int(raw)
@@ -78,19 +79,7 @@ def worker_count() -> int:
         raise click.UsageError(f"QPS_THREADS must be a non-negative integer, got {raw!r}")
     if value < 0:
         raise click.UsageError(f"QPS_THREADS must be >= 0, got {value}")
-    if value == 0:
-        return min(os.cpu_count() or 1, 8)
     return value
-
-
-def _pmap(fn, items):
-    """Map preserving order; threads capped by QPS_THREADS (sweeps are pure)."""
-    items = list(items)
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def fnum(x: float) -> str:
@@ -110,7 +99,7 @@ def numeric_exit():
     """Map library errors onto the exit-code contract."""
     try:
         yield
-    except (NonConvergenceError, ImaginaryResidueError) as exc:
+    except (NonConvergenceError, ImaginaryResidueError, OverflowError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_NONCONVERGENT)
     except ValueError as exc:
@@ -166,10 +155,8 @@ def poly(q, mu, n, grid_points, tol, fmt, out):
         coeff_rows = [[float(c) for c in rs_coefficients(k, cfg.qp).coeffs]
                       for k in range(cfg.n + 1)]
 
-        def sample_row(k):
-            return [abs(rs_function(k, float(th), cfg.qp)) ** 2 for th in grid.points]
-
-        r2 = _pmap(sample_row, range(cfg.n + 1))
+        r2 = [[abs(rs_function(k, float(th), cfg.qp)) ** 2 for th in grid.points]
+              for k in range(cfg.n + 1)]
     if cfg.output_format == "csv":
         lines = [",".join(fnum(c) for c in row) for row in coeff_rows]
         lines.append("")
@@ -242,7 +229,7 @@ def angle_dist(q, mu, n, grid_points, tol, fmt, out, mu_list):
         params = [("omega", cfg.qp)]
     with numeric_exit():
         grid = PhaseGrid.uniform(cfg.grid_points)
-        tables = _pmap(lambda lp: angle_table(cfg.n, lp[1], grid, cfg.tol), params)
+        tables = [angle_table(cfg.n, qp, grid, cfg.tol) for _, qp in params]
     if cfg.output_format == "csv":
         lines = ["theta," + ",".join(label for label, _ in params)]
         for i, th in enumerate(grid.points):
@@ -290,9 +277,7 @@ def action_dist(q, mu, n, grid_points, tol, fmt, out, m_range):
     lo, hi = _parse_m_range(m_range)
     with numeric_exit():
         grid = PhaseGrid.uniform(cfg.grid_points)
-        values = _pmap(
-            lambda m: action_distribution(cfg.n, m, cfg.qp, grid, cfg.tol), range(lo, hi + 1)
-        )
+        values = [action_distribution(cfg.n, m, cfg.qp, grid, cfg.tol) for m in range(lo, hi + 1)]
     if cfg.output_format == "csv":
         lines = ["m,lambda"]
         for m, v in zip(range(lo, hi + 1), values):

@@ -21,8 +21,16 @@ shift-averaged kernel
     K(m; t, r, s) = [sinc((m-(t+r+s)/2) pi) + sinc((m-(r+s-t)/2) pi)] / 2,
 
 which is even in t, pairs every term with its conjugate, and leaves both
-marginals, the n = 0 case, and all closed forms unchanged.  The raw
-one-sided sums remain available through wigner_one_sided for verification.
+marginals, the n = 0 case, and all closed forms unchanged.
+
+Production code assembles the sum once, as a folded cosine spectrum in
+theta (_wigner_spectrum), and every Wigner quantity is a view on it:
+wigner_eval evaluates it at one angle, wigner_grid applies a cosine matrix,
+action_distribution reads the trapezoid sum off the frequencies that the
+grid aliases onto the mean, and angle_distribution_from_wigner swaps the
+sinc kernel for its summed action window.  The raw one-sided sums in
+wigner_one_sided are the independent loop that verification compares
+against.
 
 Orthogonality of the polynomial family is exposed through three
 independent routes (Carlitz double sum, closed form, theta_3-weighted
@@ -38,6 +46,7 @@ import cmath
 import enum
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -284,37 +293,61 @@ def _t_cutoff(mu: float, tol: float) -> int:
     return math.ceil(math.sqrt(math.log(1.0 / tol) / mu)) + 1
 
 
-def _triple_sum(n: int, m: int, theta: float, qp: QParam, tol: float) -> complex:
-    """Assemble the (t, r, s) sum with the shift-averaged (even-in-t) kernel.
+def _wigner_spectrum(
+    n: int, qp: QParam, tol: float, kernel: Callable[[int], float]
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The (t, r, s) sum regrouped as a folded cosine series in theta.
 
-    The kernel depends on r and s only through r + s, so the (r, s) and
-    (s, r) terms are combined into one real cosine term; the remaining
-    imaginary residue of the t-sum is then pure rounding noise.
+    Returns (pref, freqs, amps) with O(theta) = pref * sum_i amps[i] cos(freqs[i] theta)
+    over the integer frequencies |t + r - s|, sorted ascending.  kernel(c2)
+    is the weight of a term whose sinc centre is c2/2; it is averaged over
+    the two shift placements c2 = r+s+t and r+s-t, and as it depends on
+    (r, s) only through r+s it is tabulated once per t.  Each frequency
+    slice is summed exactly: the +f and -f slices hold the same addend
+    multiset, so the unfolded spectrum is even in f bitwise unless the
+    kernel structure is broken, and an odd part at or above tol raises
+    ImaginaryResidueError.  A non-finite addend raises OverflowError.
     """
     t_cut = _t_cutoff(qp.mu, tol)
     row = _qbinomial_row(n, qp)
     pref = qp.qpow(n) / qfactorial(n, qp)
     boost = [qp.qpow(-r / 2.0) for r in range(n + 1)]  # e^{mu r}
-    re_parts = []
-    im_parts = []
+    # group the (r, s)-symmetric factors first so the (-t, s, r) partner
+    # addend is bitwise identical
+    weight = [[(row[r] * row[s]) * (boost[r] * boost[s]) for s in range(n + 1)]
+              for r in range(n + 1)]
+    # wt and the kernel are bounded by ~1, so a finite weight keeps every
+    # addend finite
+    if not all(math.isfinite(w) for w_row in weight for w in w_row):
+        raise OverflowError(
+            f"Wigner addend e^(mu (r+s)) overflows double precision at n={n}, q={qp.q}"
+        )
+    slices: dict[int, list[float]] = {}
     for t in range(-t_cut, t_cut + 1):
         wt = math.exp(-qp.mu * t * t)
-        inner = 0.0
+        ker_by_sum = [0.5 * (kernel(t + j) + kernel(j - t)) for j in range(2 * n + 1)]
         for r in range(n + 1):
-            for s in range(r + 1):
-                ker = 0.5 * (
-                    sinc_kernel(m, (t + r + s) / 2.0) + sinc_kernel(m, (r + s - t) / 2.0)
-                )
+            for s in range(n + 1):
+                ker = ker_by_sum[r + s]
                 if ker == 0.0:
                     continue
                 sign = -1.0 if (r + s) & 1 else 1.0
-                term = sign * row[r] * row[s] * boost[r] * boost[s] * ker
-                inner += term if s == r else 2.0 * term * math.cos(theta * (r - s))
-        re_parts.append(wt * inner * math.cos(t * theta))
-        im_parts.append(wt * inner * math.sin(t * theta))
-    # the inner sums are even in t bitwise, so the imaginary addends form
-    # exact +- pairs; exact summation returns 0 unless the structure is broken
-    return pref * complex(math.fsum(re_parts), math.fsum(im_parts))
+                slices.setdefault(t + r - s, []).append(wt * sign * weight[r][s] * ker)
+    amp = {f: math.fsum(parts) for f, parts in slices.items()}
+    residue = pref * max((abs(amp[f] - amp.get(-f, 0.0)) for f in amp), default=0.0)
+    if residue >= tol:
+        raise ImaginaryResidueError("wigner_spectrum", residue, tol)
+    folded: dict[int, float] = {}
+    for f, a in amp.items():
+        folded[abs(f)] = folded.get(abs(f), 0.0) + a
+    freqs = np.array(sorted(folded), dtype=int)
+    amps = np.array([folded[f] for f in sorted(folded)], dtype=float)
+    return pref, freqs, amps
+
+
+def _sinc_at(m: int) -> Callable[[int], float]:
+    """Spectrum kernel of the single action value m."""
+    return lambda c2: sinc_kernel(m, c2 / 2.0)
 
 
 def wigner_eval(n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12) -> WignerValue:
@@ -329,10 +362,8 @@ def wigner_eval(n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12) ->
         raise ValueError(f"n must be >= 0, got {n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    total = _triple_sum(n, m, theta, qp, tol)
-    if abs(total.imag) >= tol:
-        raise ImaginaryResidueError("wigner_eval", abs(total.imag), tol)
-    return WignerValue(n, m, theta, total.real)
+    pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
+    return WignerValue(n, m, theta, pref * float(np.cos(theta * freqs) @ amps))
 
 
 def wigner_one_sided(
@@ -374,60 +405,44 @@ def wigner_one_sided(
 
 
 def wigner_grid(n: int, m: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12) -> np.ndarray:
-    """O_n(m, theta_k) over a full phase grid.
-
-    The triple sum is regrouped by the integer frequency f = t + r - s with
-    real amplitudes, so a sweep costs one amplitude pass plus a K x F phase
-    matrix apply instead of K independent triple sums.
-    """
+    """O_n(m, theta_k) over a full phase grid: one spectrum pass plus a
+    K x F cosine matrix apply instead of K independent triple sums."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    t_cut = _t_cutoff(qp.mu, tol)
-    row = _qbinomial_row(n, qp)
-    pref = qp.qpow(n) / qfactorial(n, qp)
-    boost = [qp.qpow(-r / 2.0) for r in range(n + 1)]
-    slices: dict[int, list[float]] = {}
-    for t in range(-t_cut, t_cut + 1):
-        wt = math.exp(-qp.mu * t * t)
-        for r in range(n + 1):
-            for s in range(n + 1):
-                ker = 0.5 * (
-                    sinc_kernel(m, (t + r + s) / 2.0) + sinc_kernel(m, (r + s - t) / 2.0)
-                )
-                if ker == 0.0:
-                    continue
-                sign = -1.0 if (r + s) & 1 else 1.0
-                # group the (r, s)-symmetric factors first so the (-t, s, r)
-                # partner contribution is bitwise identical
-                weight = (row[r] * row[s]) * (boost[r] * boost[s])
-                slices.setdefault(t + r - s, []).append(wt * sign * weight * ker)
-    if not slices:
-        return np.zeros(grid.k_points)
-    # exact summation per frequency slice: the +f and -f slices hold the same
-    # addend multiset, so the spectrum comes out even in f bitwise unless the
-    # kernel structure is broken
-    amp = {f: math.fsum(parts) for f, parts in slices.items()}
-    residue = pref * max(abs(amp[f] - amp.get(-f, 0.0)) for f in amp)
-    if residue >= tol:
-        raise ImaginaryResidueError("wigner_grid", residue, tol)
-    folded: dict[int, float] = {}
-    for f, a in amp.items():
-        folded[abs(f)] = folded.get(abs(f), 0.0) + a
-    freqs = np.array(sorted(folded), dtype=float)
-    amps = np.array([folded[f] for f in sorted(folded)])
-    vals = pref * (np.cos(np.outer(grid.points, freqs)) @ amps)
-    return vals
+    pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
+    return pref * (np.cos(np.outer(grid.points, freqs)) @ amps)
 
 
 def action_distribution(
     n: int, m: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-8
 ) -> float:
     """Action marginal Lambda^(n)(m): the Wigner function integrated over the
-    angle grid with weight d(theta)/(2 pi); equals delta_{m,n} within tol."""
-    vals = wigner_grid(n, m, qp, grid, tol)
-    return float(grid.weight * vals.sum())
+    uniform angle grid with weight d(theta)/(2 pi); equals delta_{m,n} within tol.
+
+    On theta_k = -pi + 2 pi k / K the trapezoid sum of cos(f theta) is
+    (-1)^f when K divides f and 0 otherwise, so the grid sum is read off the
+    spectrum without sampling it.  For max f < K only f = 0 survives and the
+    result is the exact angle integral; otherwise the grid aliases higher
+    frequencies onto the mean and a ResolutionWarning fires.
+    """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol}")
+    pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
+    k_points = grid.k_points
+    if freqs.size and freqs[-1] >= k_points:
+        warnings.warn(
+            f"{k_points}-point grid aliases Wigner frequency {freqs[-1]} onto the "
+            f"action marginal for (n={n}, q={qp.q})",
+            ResolutionWarning,
+            stacklevel=2,
+        )
+    return pref * math.fsum(
+        -a if f & 1 else a for f, a in zip(freqs.tolist(), amps.tolist()) if f % k_points == 0
+    )
 
 
 def angle_distribution(n: int, theta: float, qp: QParam, tol: float = 1e-12) -> float:
@@ -472,11 +487,7 @@ def angle_distribution_from_wigner(
         raise ValueError(f"m_cut must be >= n + 10, got m_cut={m_cut}, n={n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    t_cut = _t_cutoff(qp.mu, tol)
-    row = _qbinomial_row(n, qp)
-    pref = qp.qpow(n) / qfactorial(n, qp)
-    boost = [qp.qpow(-r / 2.0) for r in range(n + 1)]
-    partials = _one_sided_partials(m_cut + t_cut + 2 * n + 4)
+    partials = _one_sided_partials(m_cut + _t_cutoff(qp.mu, tol) + 2 * n + 4)
 
     def window(c2: int) -> float:
         # sum over m in [-m_cut, m_cut] of sinc((m - c2/2) pi)
@@ -488,20 +499,8 @@ def angle_distribution_from_wigner(
             partials[k_left] if k_left > 0 else 0.0
         )
 
-    re_parts = []
-    for t in range(-t_cut, t_cut + 1):
-        wt = math.exp(-qp.mu * t * t)
-        inner = 0.0
-        for r in range(n + 1):
-            for s in range(r + 1):
-                win = 0.5 * (window(t + r + s) + window(r + s - t))
-                if win == 0.0:
-                    continue
-                sign = -1.0 if (r + s) & 1 else 1.0
-                term = sign * row[r] * row[s] * boost[r] * boost[s] * win
-                inner += term if s == r else 2.0 * term * math.cos(theta * (r - s))
-        re_parts.append(wt * inner * math.cos(t * theta))
-    return pref * math.fsum(re_parts)
+    pref, freqs, amps = _wigner_spectrum(n, qp, tol, window)
+    return pref * float(np.cos(theta * freqs) @ amps)
 
 
 def circular_variance(values: np.ndarray, grid: PhaseGrid) -> float:

@@ -126,6 +126,12 @@ class TestActionDist:
         res = run("action-dist", "--q", "0.5", "--m-range", "5:1")
         assert res.exit_code == 2
 
+    def test_overflow_is_numerical_error(self):
+        # e^{mu (r+s)} exceeds double range at q = 1e-4, n = 94
+        res = runner.invoke(cli, ["action-dist", "--q", "0.0001", "--n", "94",
+                                  "--m-range", "91:97", "--grid-points", "512"])
+        assert res.exit_code == 3
+
 
 class TestWignerCmd:
     def test_matches_library_grid(self):

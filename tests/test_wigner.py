@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -267,6 +268,31 @@ class TestActionMarginal:
         qp = QParam.from_q(0.5)
         total = sum(action_distribution(3, m, qp, GRID, 1e-8) for m in range(-2, 11))
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    def test_aliasing_grid_warns(self):
+        qp = QParam.from_q(0.85)
+        with pytest.warns(ResolutionWarning):
+            action_distribution(5, 4, qp, PhaseGrid.uniform(8), 1e-8)
+
+    @pytest.mark.parametrize("m", (4, 5, 7))
+    def test_smallest_unaliased_grid_is_exact(self, m):
+        # the K-point trapezoid integrates cos(f theta) exactly for f < K, so
+        # every grid finer than the spectrum returns the same marginal
+        qp = QParam.from_q(0.85)
+
+        def warns(k):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                action_distribution(5, m, qp, PhaseGrid.uniform(k), 1e-8)
+            return any(issubclass(w.category, ResolutionWarning) for w in caught)
+
+        k = next(k for k in range(2, 4096) if not warns(k))
+        assert k > 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResolutionWarning)
+            lam = action_distribution(5, m, qp, PhaseGrid.uniform(k), 1e-8)
+            fine = action_distribution(5, m, qp, PhaseGrid.uniform(4096), 1e-8)
+        assert abs(lam - fine) < 1e-14
 
 
 class TestAngleMarginal:
