@@ -332,7 +332,6 @@ def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
 def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) -> dict:
     """Relation report: algebra residuals, orthogonality triangle, theta_3
     dual representation, and the marginal checks; all scale-aware."""
-    grid = PhaseGrid.uniform(grid_points)
     checks = []
 
     algebra = verify_algebra(max(2, n_max), qp, tol)
@@ -343,18 +342,18 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
     })
 
     top = min(n_max, 10)
-    # the quadrature grid must resolve the theta_3 bandwidth, which grows
-    # like 1/sqrt(mu) as q -> 1; enlarge it beyond the display grid if needed
+    # the quadrature and the marginal checks must resolve the theta_3 bandwidth,
+    # which grows like 1/sqrt(mu) as q -> 1; enlarge their grid beyond the display grid
     quad_tol = min(tol, 1e-12)
     bandwidth = math.ceil(math.sqrt(math.log(1.0 / quad_tol) / qp.mu))
     k_quad = max(grid_points, 2 ** math.ceil(math.log2(4 * 2 * top + 2 * bandwidth + 2)))
-    quad_grid = PhaseGrid.uniform(k_quad)
+    grid = PhaseGrid.uniform(k_quad)
     worst_tri = 0.0
     for m in range(top + 1):
         for nn in range(top + 1):
             closed = carlitz_closed_form(m, nn, qp)
             dsum = carlitz_double_sum(m, nn, qp)
-            quad = orthogonality_quadrature(m, nn, qp, quad_grid, tol=quad_tol)
+            quad = orthogonality_quadrature(m, nn, qp, grid, tol=quad_tol)
             scale = max(1.0, abs(closed))
             worst_tri = max(
                 worst_tri,
@@ -386,7 +385,7 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
         "passed": worst_theta < max(tol, 1e-12),
     })
 
-    # the Wigner prefactor q^n/(q;q)_n amplifies rounding as q -> 1, so the
+    # the Wigner prefactor 1/(q;q)_n amplifies rounding as q -> 1, so the
     # marginal checks certify the largest state index double precision can
     # still resolve at this deformation
     n_check = min(n_max, 4)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import NonConvergenceError
 
@@ -130,6 +131,12 @@ def qbinomial(n: int, j: int, qp: QParam) -> float:
     return acc
 
 
+@lru_cache(maxsize=512)
+def _qbinomial_row(n: int, qp: QParam) -> tuple[float, ...]:
+    """The Gaussian-binomial row [n over 0]_q .. [n over n]_q, cached per (n, q)."""
+    return tuple(qbinomial(n, r, qp) for r in range(n + 1))
+
+
 def qnumber(n: int, qp: QParam) -> float:
     """q-number [n]_q = (1 - q^n)/(1 - q); equals qbinomial(n, 1) by construction."""
     if n < 0:
@@ -157,8 +164,5 @@ def finite_cauchy_coeffs(n: int, qp: QParam) -> list[float]:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    out = []
-    for j in range(n + 1):
-        sign = -1.0 if j & 1 else 1.0
-        out.append(sign * qbinomial(n, j, qp) * qp.qpow(j * (j - 1) / 2.0))
-    return out
+    return [(-1.0 if j & 1 else 1.0) * binom * qp.qpow(j * (j - 1) / 2.0)
+            for j, binom in enumerate(_qbinomial_row(n, qp))]

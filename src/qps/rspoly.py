@@ -13,8 +13,8 @@ are orthonormal on the circle against the Jacobi theta_3 weight.
 
 The substitution y = -q^{-1/2} e^{i phi} blows up as q -> 0, so angle-space
 evaluation is reliable on the practical domain q in [1e-4, 1 - 1e-4];
-rs_function folds the q^{n/2} prefactor into the sum term by term to keep
-every intermediate bounded.
+rs_function folds the q^{n/2} prefactor into the sum term by term; _rs_row
+gives those bounded coefficients a_r, the row behind the Wigner weights.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .qseries import QParam, qbinomial, qfactorial, qnumber
+from .qseries import QParam, _qbinomial_row, qbinomial, qfactorial, qnumber
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def rs_coefficients(n: int, qp: QParam) -> Polynomial:
     """H_n as a coefficient vector: coeffs[r] = [n over r]_q (all real positive)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return Polynomial(tuple(qbinomial(n, r, qp) for r in range(n + 1)))
+    return Polynomial(_qbinomial_row(n, qp))
 
 
 def rs_eval_direct(n: int, y: complex, qp: QParam) -> complex:
@@ -119,6 +119,12 @@ def jackson_derivative(p: Polynomial, qp: QParam) -> Polynomial:
     return Polynomial.make(
         qnumber(r + 1, qp) * p.coeffs[r + 1] for r in range(len(p.coeffs) - 1)
     )
+
+
+def _rs_row(n: int, qp: QParam) -> list[float]:
+    """The folded Rogers-Szego coefficients a_r = (-1)^r [n over r]_q q^{(n-r)/2}."""
+    return [(-1.0 if r & 1 else 1.0) * binom * qp.qpow((n - r) / 2.0)
+            for r, binom in enumerate(_qbinomial_row(n, qp))]
 
 
 def rs_function(n: int, phi: float, qp: QParam) -> complex:

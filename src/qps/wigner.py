@@ -3,10 +3,10 @@
 The Wigner function of the number-state projector |n><n| in the
 Rogers-Szego realization is the triple sum
 
-    O_n(m, theta) = q^n/(q;q)_n * sum_t e^{-mu t^2 + i t theta}
-                    * sum_{r,s} (-1)^{r+s} [n r]_q [n s]_q e^{mu (r+s)}
-                      e^{i theta (r-s)} * K(m; t, r, s)
+    O_n(m, theta) = 1/(q;q)_n * sum_t e^{-mu t^2 + i t theta}
+                    * sum_{r,s} a_r a_s e^{i theta (r-s)} * K(m; t, r, s)
 
+over the Rogers-Szego row a_r = (-1)^r [n r]_q q^{(n-r)/2} (rspoly._rs_row),
 with m integer and the t-sum truncated by its Gaussian weight.  Its angle
 marginal is theta_3(theta) |R_n(theta)|^2 and its action marginal is the
 Kronecker delta on the state index.
@@ -55,8 +55,8 @@ import mpmath as mp
 import numpy as np
 
 from .errors import ImaginaryResidueError, ResolutionWarning
-from .qseries import QParam, qbinomial, qfactorial
-from .rspoly import rs_function
+from .qseries import QParam, _qbinomial_row, qfactorial
+from .rspoly import _rs_row, rs_function
 from .theta import theta3
 
 #: working precision (decimal digits) for the quadrature orthogonality route
@@ -283,11 +283,6 @@ def orthogonality_quadrature(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _qbinomial_row(n: int, qp: QParam) -> tuple[float, ...]:
-    return tuple(qbinomial(n, r, qp) for r in range(n + 1))
-
-
 def _t_cutoff(mu: float, tol: float) -> int:
     """Symmetric truncation bound for the Gaussian-weighted t-sum."""
     return math.ceil(math.sqrt(math.log(1.0 / tol) / mu)) + 1
@@ -299,28 +294,26 @@ def _wigner_spectrum(
     """The (t, r, s) sum regrouped as a folded cosine series in theta.
 
     Returns (pref, freqs, amps) with O(theta) = pref * sum_i amps[i] cos(freqs[i] theta)
-    over the integer frequencies |t + r - s|, sorted ascending.  kernel(c2)
-    is the weight of a term whose sinc centre is c2/2; it is averaged over
-    the two shift placements c2 = r+s+t and r+s-t, and as it depends on
-    (r, s) only through r+s it is tabulated once per t.  Each frequency
-    slice is summed exactly: the +f and -f slices hold the same addend
-    multiset, so the unfolded spectrum is even in f bitwise unless the
-    kernel structure is broken, and an odd part at or above tol raises
-    ImaginaryResidueError.  A non-finite addend raises OverflowError.
+    over the integer frequencies |t + r - s|, sorted ascending; pref = 1/(q;q)_n
+    and the (r, s) terms carry the weight a_r a_s.  kernel(c2) is the weight of
+    a term whose sinc centre is c2/2; it is averaged over the two shift
+    placements c2 = r+s+t and r+s-t, and as it depends on (r, s) only through
+    r+s it is tabulated once per t.  Each frequency slice is summed exactly:
+    the +f and -f slices hold the same addend multiset, so the unfolded
+    spectrum is even in f bitwise unless the kernel structure is broken, and
+    an odd part at or above tol raises ImaginaryResidueError.  A non-finite
+    addend raises OverflowError.
     """
     t_cut = _t_cutoff(qp.mu, tol)
-    row = _qbinomial_row(n, qp)
-    pref = qp.qpow(n) / qfactorial(n, qp)
-    boost = [qp.qpow(-r / 2.0) for r in range(n + 1)]  # e^{mu r}
-    # group the (r, s)-symmetric factors first so the (-t, s, r) partner
-    # addend is bitwise identical
-    weight = [[(row[r] * row[s]) * (boost[r] * boost[s]) for s in range(n + 1)]
-              for r in range(n + 1)]
+    a = _rs_row(n, qp)
+    pref = 1.0 / qfactorial(n, qp)
+    # a_r a_s == a_s a_r bitwise, so the (-t, s, r) partner addend is identical
+    weight = [[a[r] * a[s] for s in range(n + 1)] for r in range(n + 1)]
     # wt and the kernel are bounded by ~1, so a finite weight keeps every
-    # addend finite
+    # addend finite; a_r itself grows like a binomial coefficient as q -> 1
     if not all(math.isfinite(w) for w_row in weight for w in w_row):
         raise OverflowError(
-            f"Wigner addend e^(mu (r+s)) overflows double precision at n={n}, q={qp.q}"
+            f"Wigner weight a_r a_s overflows double precision at n={n}, q={qp.q}"
         )
     slices: dict[int, list[float]] = {}
     for t in range(-t_cut, t_cut + 1):
@@ -331,8 +324,7 @@ def _wigner_spectrum(
                 ker = ker_by_sum[r + s]
                 if ker == 0.0:
                     continue
-                sign = -1.0 if (r + s) & 1 else 1.0
-                slices.setdefault(t + r - s, []).append(wt * sign * weight[r][s] * ker)
+                slices.setdefault(t + r - s, []).append(wt * weight[r][s] * ker)
     amp = {f: math.fsum(parts) for f, parts in slices.items()}
     residue = pref * max((abs(amp[f] - amp.get(-f, 0.0)) for f in amp), default=0.0)
     if residue >= tol:

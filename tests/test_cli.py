@@ -2,14 +2,15 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import qps
-from qps import NonConvergenceError, QParam, theta3
-from qps.cli import cli
+from qps import NonConvergenceError, QParam, ResolutionWarning, theta3
+from qps.cli import build_verify_report, cli
 
 runner = CliRunner()
 
@@ -126,11 +127,15 @@ class TestActionDist:
         res = run("action-dist", "--q", "0.5", "--m-range", "5:1")
         assert res.exit_code == 2
 
-    def test_overflow_is_numerical_error(self):
-        # e^{mu (r+s)} exceeds double range at q = 1e-4, n = 94
+    def test_small_q_large_n_is_delta(self):
+        # the Wigner weights a_r a_s stay bounded at q = 1e-4 where the split
+        # form e^{mu (r+s)} q^n overflowed
         res = runner.invoke(cli, ["action-dist", "--q", "0.0001", "--n", "94",
                                   "--m-range", "91:97", "--grid-points", "512"])
-        assert res.exit_code == 3
+        assert res.exit_code == 0
+        _, rows = parse_csv_table(res.output)
+        expected = [1.0 if int(m) == 94 else 0.0 for m in rows[:, 0]]
+        assert rows[:, 1] == pytest.approx(expected, abs=1e-8)
 
 
 class TestWignerCmd:
@@ -169,6 +174,14 @@ class TestVerify:
         report = json.loads(res.output)
         assert report["near_classical"] is True
         assert report["classical_commutator_deviation"] < 0.005
+
+    def test_marginal_grids_resolve_bandwidth_near_q_one(self):
+        # a 256-point grid aliases the q = 0.9999 spectrum and under-resolves
+        # theta_3; the marginal checks size their grid from the bandwidth
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResolutionWarning)
+            report = build_verify_report(QParam.from_q(0.9999), 2, 256, 1e-10)
+        assert report["passed"] is True
 
     def test_malformed_q_exits_2_before_compute(self):
         res = run("verify", "--q", "1.5")

@@ -269,6 +269,13 @@ class TestActionMarginal:
         total = sum(action_distribution(3, m, qp, GRID, 1e-8) for m in range(-2, 11))
         assert total == pytest.approx(1.0, abs=1e-8)
 
+    def test_small_q_large_n_is_delta(self):
+        qp = QParam.from_q(1e-4)
+        grid = PhaseGrid.uniform(512)
+        for m in (299, 300, 301):
+            lam = action_distribution(300, m, qp, grid, 1e-8)
+            assert lam == pytest.approx(1.0 if m == 300 else 0.0, abs=1e-8)
+
     def test_aliasing_grid_warns(self):
         qp = QParam.from_q(0.85)
         with pytest.warns(ResolutionWarning):
