@@ -36,8 +36,9 @@ Orthogonality of the polynomial family is exposed through three
 independent routes (Carlitz double sum, closed form, theta_3-weighted
 quadrature).  The double sum cancels terms of size q^{-min(m,n)} down to
 zero off the diagonal, far below the double-precision rounding floor, so it
-runs in exact rational arithmetic; the quadrature route runs in extended
-precision for the same reason.  Everything else is double precision.
+runs in exact rational arithmetic; the quadrature route holds its integrand
+in Python-integer fixed point, QUADRATURE_DPS digits below its largest term,
+and sums it exactly, for the same reason.  Everything else is double precision.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 import mpmath as mp
 import numpy as np
@@ -59,8 +61,12 @@ from .qseries import QParam, _qbinomial_row, qfactorial
 from .rspoly import _rs_row, rs_function
 from .theta import theta3
 
-#: working precision (decimal digits) for the quadrature orthogonality route
+#: decimal digits the quadrature orthogonality route keeps below the largest
+#: term of its integrand; its fixed-point scale grows with n and mu from this
 QUADRATURE_DPS = 35
+#: bits added to that scale, and to the mpmath constants rounded onto it, to
+#: absorb the rounding of the H recurrence and of the theta_3 sums
+_QUAD_GUARD_BITS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,39 +215,95 @@ def carlitz_closed_form(m: int, n: int, qp: QParam) -> float:
 
 @lru_cache(maxsize=16)
 def _mp_quad_tables(q: float, k_points: int, n_top: int):
-    """theta_3 samples and H_0..H_{n_top} rows over the uniform grid, in
-    extended precision.  Cached per (q, grid size, basis bucket)."""
-    with mp.workdps(QUADRATURE_DPS):
+    """theta_3 and H_0..H_{n_top} over the uniform grid, in exact fixed point.
+
+    Returns (frac, rows): every value is an integer round(x * 2^frac), and
+    rows[j] = (Re H_j, Im H_j, w theta_3 Re H_j, w theta_3 Im H_j) over the
+    grid points k = 0..K/2.  The points K - k mirror k (theta_3 is even and
+    H_j(conj y) = conj H_j(y)), so each inner point carries weight w = 2 and
+    the two self-mirrored points w = 1.
+
+    frac keeps QUADRATURE_DPS digits below the largest integrand term: the
+    Gaussian binomials satisfy 0 <= [j r]_q <= C(j, r), so |H_j(y)| <=
+    (1 + |y|)^j = (1 + e^mu)^j, and theta_3 <= 1 + sqrt(pi/mu).  mpmath only
+    supplies the constants (e^mu, the cosines and sines of the grid, the
+    theta_3 term weights, 1 - q^j), at a few guard bits above frac; y and the
+    H recurrence are built in integers.  Cached per (q, grid size, basis bucket).
+    """
+    mu = -math.log(q) / 2.0
+    theta_max = 1.0 + math.sqrt(math.pi / mu)
+    frac = (
+        mp.libmp.dps_to_prec(QUADRATURE_DPS)
+        + math.ceil(2 * n_top * math.log2(1.0 + math.exp(mu)) + math.log2(theta_max))
+        + _QUAD_GUARD_BITS
+    )
+    # theta_3 terms below e^{-ulp_exponent}, half a unit in the last place, are dropped
+    ulp_exponent = (frac + 1) * math.log(2)
+    half = k_points // 2
+    with mp.workprec(frac + _QUAD_GUARD_BITS):
+
+        def fix(x) -> int:
+            return int(mp.nint(mp.ldexp(x, frac)))
+
         qm = mp.mpf(q)
-        mu = -mp.log(qm) / 2
-        thetas = [2 * mp.pi * k / k_points - mp.pi for k in range(k_points)]
+        mu_mp = -mp.log(qm) / 2
+        step = 2 * mp.pi / k_points
+        cos_sin = [mp.cos_sin(step * k) for k in range(half + 1)]
+        cos_k = [fix(c) for c, _ in cos_sin]
+        sin_k = [fix(s) for _, s in cos_sin]
+        e_mu = fix(mp.exp(mu_mp))
+        one_minus_qj = [fix(1 - qm**j) for j in range(n_top)]
         if mu < 1:
-            # Gaussian-sum representation: a handful of terms at any precision
-            n_cut = int(mp.ceil((mp.sqrt(4 * mu * (QUADRATURE_DPS + 5) * mp.log(10)) + mp.pi) / (2 * mp.pi))) + 1
-            pref = mp.sqrt(mp.pi / mu)
-            theta_row = tuple(
-                pref * mp.fsum(
-                    mp.exp(-((th - 2 * mp.pi * g) ** 2) / (4 * mu))
-                    for g in range(-n_cut, n_cut + 1)
-                )
-                for th in thetas
-            )
+            # Gaussian sum over the unwrapped grid x_j = 2 pi j / K - pi: theta_3
+            # at point k folds in every x_j with j = k (mod K); x_{K-j} = -x_j
+            pref = mp.sqrt(mp.pi / mu_mp)
+            x_max = 2.0 * math.sqrt(mu * (ulp_exponent + math.log(theta_max)))
+            j_hi = math.floor((math.pi + x_max) * k_points / (2 * math.pi))
+            gauss = {
+                j: fix(pref * mp.exp(-((step * j - mp.pi) ** 2) / (4 * mu_mp)))
+                for j in range((k_points + 1) // 2, j_hi + 1)
+            }
+            theta = [0] * k_points
+            for j in range(k_points - j_hi, j_hi + 1):
+                theta[j % k_points] += gauss[max(j, k_points - j)]
+            theta = theta[: half + 1]
         else:
-            t_cut = int(mp.ceil(mp.sqrt((QUADRATURE_DPS + 5) * mp.log(10) / mu))) + 2
-            theta_row = tuple(
-                1 + 2 * mp.fsum(mp.exp(-mu * t * t) * mp.cos(t * th) for t in range(1, t_cut + 1))
-                for th in thetas
-            )
-        ys = [-mp.exp(mu + 1j * th) for th in thetas]
-        rows = [tuple(mp.mpc(1) for _ in range(k_points))]
-        if n_top >= 1:
-            rows.append(tuple(1 + y for y in ys))
-        for j in range(1, n_top):
-            cj = 1 - qm**j
-            rows.append(
-                tuple((1 + y) * h1 - cj * y * h0 for y, h1, h0 in zip(ys, rows[-1], rows[-2]))
-            )
-        return theta_row, tuple(rows)
+            # Fourier series, cos(t theta_k) = (-1)^t cos(2 pi t k / K)
+            t_cut = math.ceil(math.sqrt(ulp_exponent / mu))
+            signed_w = [(-1) ** t * fix(mp.exp(-mu_mp * t * t)) for t in range(1, t_cut + 1)]
+            cos_full = cos_k + cos_k[k_points - half - 1 : 0 : -1]
+            theta = [
+                ((1 << 2 * frac) + 2 * sum(
+                    w * cos_full[t * k % k_points] for t, w in enumerate(signed_w, 1)
+                ) + (1 << frac - 1)) >> frac
+                for k in range(half + 1)
+            ]
+    w_theta = [th if k == 0 or 2 * k == k_points else 2 * th for k, th in enumerate(theta)]
+
+    # y_k = -e^{mu + i theta_k} = e^mu e^{2 pi i k / K};
+    # H_{j+1} = (1 + y) H_j - (1 - q^j) y H_{j-1}, with y H_j kept at scale 2 frac
+    y_re = [(e_mu * c) >> frac for c in cos_k]
+    y_im = [(e_mu * s) >> frac for s in sin_k]
+    h_re, h_im = [1 << frac] * (half + 1), [0] * (half + 1)
+    yh_re, yh_im = [0] * (half + 1), [0] * (half + 1)
+    h_rows = [(h_re, h_im)]
+    for c_j in one_minus_qj:
+        prev_re, prev_im = yh_re, yh_im
+        yh_re = [a * c - b * d for a, b, c, d in zip(y_re, y_im, h_re, h_im)]
+        yh_im = [a * d + b * c for a, b, c, d in zip(y_re, y_im, h_re, h_im)]
+        h_re = [
+            ((h << frac) + u - ((c_j * v) >> frac)) >> frac
+            for h, u, v in zip(h_re, yh_re, prev_re)
+        ]
+        h_im = [
+            ((h << frac) + u - ((c_j * v) >> frac)) >> frac
+            for h, u, v in zip(h_im, yh_im, prev_im)
+        ]
+        h_rows.append((h_re, h_im))
+    return frac, tuple(
+        (re, im, [w * h for w, h in zip(w_theta, re)], [w * h for w, h in zip(w_theta, im)])
+        for re, im in h_rows
+    )
 
 
 def orthogonality_quadrature(
@@ -252,8 +314,10 @@ def orthogonality_quadrature(
     The integrand is periodic and band-limited up to m + n plus the theta_3
     bandwidth at tol, so the uniform trapezoid rule converges spectrally; a
     ResolutionWarning fires when the grid cannot resolve that bandwidth.
-    Internally the integrand is evaluated in extended precision because the
-    off-diagonal integral cancels values of size ~q^{-(m+n)/2}.
+    The off-diagonal integral cancels values of size ~q^{-(m+n)/2}, so the
+    sum runs on the exact fixed-point tables of _mp_quad_tables: it is an
+    integer dot product, rounded once to a float, and is symmetric in (m, n)
+    bitwise.
     """
     if m < 0 or n < 0:
         raise ValueError(f"m, n must be >= 0, got m={m}, n={n}")
@@ -269,13 +333,12 @@ def orthogonality_quadrature(
             stacklevel=2,
         )
     n_top = ((max(m, n) // 8) + 1) * 8
-    theta_row, h_rows = _mp_quad_tables(qp.q, k_points, n_top)
-    with mp.workdps(QUADRATURE_DPS):
-        acc = mp.fsum(
-            (h_rows[m][k] * mp.conj(h_rows[n][k]) * theta_row[k] for k in range(k_points)),
-            absolute=False,
-        )
-        return float(mp.re(acc)) / k_points
+    frac, rows = _mp_quad_tables(qp.q, k_points, n_top)
+    _, _, wre_m, wim_m = rows[m]
+    re_n, im_n = rows[n][:2]
+    total = sum(map(mul, wre_m, re_n)) + sum(map(mul, wim_m, im_n))
+    # int / int rounds correctly, so the only rounding is this one
+    return total / (k_points << 3 * frac)
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,15 @@ class TestVerify:
             report = build_verify_report(QParam.from_q(0.9999), 2, 256, 1e-10)
         assert report["passed"] is True
 
+    @pytest.mark.parametrize("q", [1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999])
+    def test_passes_across_domain(self, q):
+        # q = 0.9999 at n = 2 is the case above
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResolutionWarning)
+            report = build_verify_report(QParam.from_q(q), 10, 256, 1e-10)
+        failing = [c for c in report["checks"] if not c["passed"]]
+        assert report["passed"] is True, failing
+
     def test_malformed_q_exits_2_before_compute(self):
         res = run("verify", "--q", "1.5")
         assert res.exit_code == 2

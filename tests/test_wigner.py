@@ -122,6 +122,21 @@ class TestCarlitzRoutes:
                 closed = carlitz_closed_form(m, n, qp)
                 assert abs(quad - closed) <= 1e-10 * max(1.0, abs(closed))
 
+    @pytest.mark.parametrize("q", [1e-4, 0.004, 0.5, 0.998])
+    def test_quadrature_oracle_accuracy(self, q):
+        # on the grid `qps verify` sizes for n = 10: the off-diagonal integrals
+        # cancel terms of size ~q^{-10}, down to zero
+        qp = QParam.from_q(q)
+        bandwidth = math.ceil(math.sqrt(math.log(1e12) / qp.mu))
+        grid = PhaseGrid.uniform(max(256, 2 ** math.ceil(math.log2(8 * 10 + 2 * bandwidth + 2))))
+        for m in range(11):
+            for n in range(m + 1):
+                quad = orthogonality_quadrature(m, n, qp, grid)
+                closed = carlitz_closed_form(m, n, qp)
+                assert abs(quad - closed) / max(1.0, abs(closed)) < 1e-13, (m, n)
+                # the integer sum is exact, so the swap is bitwise
+                assert orthogonality_quadrature(n, m, qp, grid) == quad, (m, n)
+
     def test_quadrature_normalization(self):
         assert orthogonality_quadrature(0, 0, QParam.from_q(0.5), GRID) == pytest.approx(
             1.0, abs=1e-12
