@@ -133,8 +133,19 @@ def qbinomial(n: int, j: int, qp: QParam) -> float:
 
 @lru_cache(maxsize=512)
 def _qbinomial_row(n: int, qp: QParam) -> tuple[float, ...]:
-    """The Gaussian-binomial row [n over 0]_q .. [n over n]_q, cached per (n, q)."""
-    return tuple(qbinomial(n, r, qp) for r in range(n + 1))
+    """The Gaussian-binomial row [n over 0]_q .. [n over n]_q, cached per (n, q).
+
+    Each entry is qbinomial's product, in qbinomial's order, read from one
+    table of 1 - q^k, so the row is bitwise equal to qbinomial's values.
+    """
+    one_minus = [1.0] + [qp.one_minus_qpow(k) for k in range(1, n + 1)]
+    row = []
+    for j in range(n + 1):
+        acc = 1.0
+        for s in range(1, j + 1):
+            acc *= one_minus[n - j + s] / one_minus[s]
+        row.append(acc)
+    return tuple(row)
 
 
 def qnumber(n: int, qp: QParam) -> float:

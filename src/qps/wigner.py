@@ -28,9 +28,13 @@ theta (_wigner_spectrum), and every Wigner quantity is a view on it:
 wigner_eval evaluates it at one angle, wigner_grid applies a cosine matrix,
 action_distribution reads the trapezoid sum off the frequencies that the
 grid aliases onto the mean, and angle_distribution_from_wigner swaps the
-sinc kernel for its summed action window.  The raw one-sided sums in
-wigner_one_sided are the independent loop that verification compares
-against.
+sinc kernel for its summed action window.  The spectrum's addends are formed
+in numpy blocks, and each frequency slice is summed exactly: every addend's
+53-bit mantissa is cut into 32-bit digits at its binary exponent, the digits
+are added per slice in integers, and the slice's integer total is rounded
+once, which gives the same bits as math.fsum of the slice.  The raw
+one-sided sums in wigner_one_sided are the independent loop that
+verification compares against.
 
 Orthogonality of the polynomial family is exposed through three
 independent routes (Carlitz double sum, closed form, theta_3-weighted
@@ -67,6 +71,12 @@ QUADRATURE_DPS = 35
 #: bits added to that scale, and to the mpmath constants rounded onto it, to
 #: absorb the rounding of the H recurrence and of the theta_3 sums
 _QUAD_GUARD_BITS = 20
+#: the exact Wigner slice sum counts in 32-bit digits of 2^-1126, 52 bits below
+#: the smallest subnormal; 68 digits reach past the largest double, 2^1024
+_LIMB_BASE_EXP = 1126
+_LIMBS = 68
+#: addends per numpy block of the Wigner spectrum
+_SPECTRUM_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,12 +215,16 @@ def carlitz_double_sum(m: int, n: int, qp: QParam) -> float:
 
 
 def carlitz_closed_form(m: int, n: int, qp: QParam) -> float:
-    """I_mn in closed form: q^{-n} (q;q)_n on the diagonal, 0 elsewhere."""
+    """I_mn in closed form: q^{-n} (q;q)_n on the diagonal, 0 elsewhere.
+
+    q^{-n} is the integer power of q itself (one rounding; OverflowError
+    past double range), not exp(2 mu n), whose error grows like n |ln q| ulp.
+    """
     if m < 0 or n < 0:
         raise ValueError(f"m, n must be >= 0, got m={m}, n={n}")
     if m != n:
         return 0.0
-    return qfactorial(n, qp) * qp.qpow(-n)
+    return qfactorial(n, qp) * qp.q ** -n
 
 
 @lru_cache(maxsize=16)
@@ -351,6 +365,55 @@ def _t_cutoff(mu: float, tol: float) -> int:
     return math.ceil(math.sqrt(math.log(1.0 / tol) / mu)) + 1
 
 
+def _limb_counts(slots: np.ndarray, values: np.ndarray, n_slots: int) -> np.ndarray:
+    """Exact per-slot sums of finite doubles, as base-2^32 digits of 2^-1126 units.
+
+    Returns int64 counts of shape (n_slots, _LIMBS) with
+    sum_k counts[i, k] 2^{32 k - 1126} equal to the exact sum of the values
+    whose slot is i.  frexp writes each value as a 53-bit integer mantissa
+    times 2^e with e >= -1126 (the smallest subnormal is 2^-1074); the
+    mantissa shifted by (e + 1126) mod 32 splits exactly, in float64, into
+    three 32-bit digits, which bincount adds per (slot, digit).  Its float64
+    partial sums are integers below 2^53, hence exact, for up to 2^19 values
+    per call.
+    """
+    mant, exp = np.frexp(values)
+    shift = exp + (_LIMB_BASE_EXP - 53)
+    cell = slots * _LIMBS + (shift >> 5)
+    # x = top 2^64 + mid 2^32 + low, with 0 <= low, mid < 2^32 and |top| < 2^21
+    x = np.ldexp(mant, 53 + (shift & 31))
+    high = np.floor(x * 2.0**-32)
+    top = np.floor(high * 2.0**-32)
+    counts = np.bincount(
+        np.concatenate((cell, cell + 1, cell + 2)),
+        weights=np.concatenate((x - high * 2.0**32, high - top * 2.0**32, top)),
+        minlength=n_slots * _LIMBS,
+    )
+    return counts.astype(np.int64).reshape(n_slots, _LIMBS)
+
+
+def _round_limbs(counts: np.ndarray) -> list[float]:
+    """Each row of _limb_counts rounded once to the nearest double.
+
+    The occupied digits are folded into one Python integer, and int / int
+    rounds correctly (half to even), as math.fsum does, so the two agree
+    bitwise; an exact zero is +0.0, as in fsum.
+    """
+    sums = []
+    for row in counts.tolist():
+        lo, hi = 0, _LIMBS
+        while hi > lo and not row[hi - 1]:
+            hi -= 1
+        while lo < hi and not row[lo]:
+            lo += 1
+        total = 0
+        for digit in reversed(row[lo:hi]):
+            total = (total << 32) + digit
+        scale = _LIMB_BASE_EXP - 32 * lo
+        sums.append(total / (1 << scale) if scale >= 0 else float(total << -scale))
+    return sums
+
+
 def _wigner_spectrum(
     n: int, qp: QParam, tol: float, kernel: Callable[[int], float]
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -360,35 +423,64 @@ def _wigner_spectrum(
     over the integer frequencies |t + r - s|, sorted ascending; pref = 1/(q;q)_n
     and the (r, s) terms carry the weight a_r a_s.  kernel(c2) is the weight of
     a term whose sinc centre is c2/2; it is averaged over the two shift
-    placements c2 = r+s+t and r+s-t, and as it depends on (r, s) only through
-    r+s it is tabulated once per t.  Each frequency slice is summed exactly:
-    the +f and -f slices hold the same addend multiset, so the unfolded
-    spectrum is even in f bitwise unless the kernel structure is broken, and
-    an odd part at or above tol raises ImaginaryResidueError.  A non-finite
-    addend raises OverflowError.
+    placements c2 = r+s+t and r+s-t, and is called once per c2 in
+    [-t_cut, 2n + t_cut].  The addends wt * a_r a_s * ker are formed in numpy
+    blocks of whole t rows (or r rows, for large n), and each frequency slice
+    is summed exactly: _limb_counts adds the addends' mantissa digits in
+    integers and _round_limbs rounds each slice once, bitwise equal to
+    math.fsum of the slice.  The +f and -f slices hold the same addend
+    multiset, so the unfolded spectrum is even in f bitwise unless the kernel
+    structure is broken, and an odd part at or above tol raises
+    ImaginaryResidueError.  A non-finite addend, or a prefactor 1/(q;q)_n
+    past double range, raises OverflowError.
     """
     t_cut = _t_cutoff(qp.mu, tol)
+    q_fact = qfactorial(n, qp)
+    # (q;q)_n underflows as q -> 1 at large n, before a_r a_s overflows
+    pref = 1.0 / q_fact if q_fact else math.inf
+    if not math.isfinite(pref):
+        raise OverflowError(
+            f"Wigner prefactor 1/(q;q)_n overflows double precision at n={n}, q={qp.q}"
+        )
     a = _rs_row(n, qp)
-    pref = 1.0 / qfactorial(n, qp)
-    # a_r a_s == a_s a_r bitwise, so the (-t, s, r) partner addend is identical
-    weight = [[a[r] * a[s] for s in range(n + 1)] for r in range(n + 1)]
-    # wt and the kernel are bounded by ~1, so a finite weight keeps every
-    # addend finite; a_r itself grows like a binomial coefficient as q -> 1
-    if not all(math.isfinite(w) for w_row in weight for w in w_row):
+    # kernel(c2) is ker_table[c2 + t_cut]
+    ker_table = [kernel(c2) for c2 in range(-t_cut, 2 * n + t_cut + 1)]
+    # wt <= 1 and |ker| <= max |kernel|, so this bounds every addend; a_r
+    # itself grows like a binomial coefficient as q -> 1
+    a_max = max(map(abs, a))
+    if not math.isfinite(a_max * a_max * float(max(map(abs, ker_table)))):
         raise OverflowError(
             f"Wigner weight a_r a_s overflows double precision at n={n}, q={qp.q}"
         )
-    slices: dict[int, list[float]] = {}
-    for t in range(-t_cut, t_cut + 1):
-        wt = math.exp(-qp.mu * t * t)
-        ker_by_sum = [0.5 * (kernel(t + j) + kernel(j - t)) for j in range(2 * n + 1)]
-        for r in range(n + 1):
-            for s in range(n + 1):
-                ker = ker_by_sum[r + s]
-                if ker == 0.0:
-                    continue
-                slices.setdefault(t + r - s, []).append(wt * weight[r][s] * ker)
-    amp = {f: math.fsum(parts) for f, parts in slices.items()}
+    a = np.array(a)
+    ker_table = np.array(ker_table, dtype=float)
+    # a_r a_s == a_s a_r bitwise, so the (-t, s, r) partner addend is identical
+    weight = a[:, None] * a
+    r = np.arange(n + 1)[:, None]
+    r_plus_s = r + r.T
+    # slot of frequency f = t + r - s in [-(n + t_cut), n + t_cut]
+    slot_of_r_minus_s = r - r.T + (n + t_cut)
+    n_slots = 2 * (n + t_cut) + 1
+    counts = np.zeros((n_slots, _LIMBS), dtype=np.int64)
+    occupied = np.zeros(n_slots, dtype=bool)
+    rows_per_block = max(1, _SPECTRUM_BLOCK // (n + 1))
+    t_per_block = max(1, rows_per_block // (n + 1))
+    j = np.arange(2 * n + 1)
+    t_all = np.arange(-t_cut, t_cut + 1)
+    wt_all = np.array([math.exp(-qp.mu * t * t) for t in t_all.tolist()])
+    for t_lo in range(0, 2 * t_cut + 1, t_per_block):
+        t = t_all[t_lo : t_lo + t_per_block, None]
+        wt = wt_all[t_lo : t_lo + t_per_block, None, None]
+        ker_by_sum = 0.5 * (ker_table[t + j + t_cut] + ker_table[j - t + t_cut])
+        for r_lo in range(0, n + 1, rows_per_block):
+            rows = slice(r_lo, r_lo + rows_per_block)
+            ker = ker_by_sum[:, r_plus_s[rows]]
+            keep = ker != 0.0
+            slots = (t[:, :, None] + slot_of_r_minus_s[rows])[keep]
+            occupied[slots] = True
+            counts += _limb_counts(slots, ((wt * weight[rows]) * ker)[keep], n_slots)
+    slot_ids = np.flatnonzero(occupied)
+    amp = dict(zip((slot_ids - (n + t_cut)).tolist(), _round_limbs(counts[slot_ids])))
     residue = pref * max((abs(amp[f] - amp.get(-f, 0.0)) for f in amp), default=0.0)
     if residue >= tol:
         raise ImaginaryResidueError("wigner_spectrum", residue, tol)

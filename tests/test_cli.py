@@ -137,6 +137,19 @@ class TestActionDist:
         expected = [1.0 if int(m) == 94 else 0.0 for m in rows[:, 0]]
         assert rows[:, 1] == pytest.approx(expected, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("action-dist", "--q", "0.9999", "--n", "300", "--m-range", "299:301"),
+            ("wigner", "--q", "0.999", "--n", "1000", "--m", "1000"),
+        ],
+    )
+    def test_prefactor_underflow_is_numerical_error(self, args):
+        # (q;q)_n underflows to 0 here while a_r a_s is still finite
+        res = runner.invoke(cli, list(args))
+        assert res.exit_code == 3
+        assert "1/(q;q)_n overflows" in res.output
+
 
 class TestWignerCmd:
     def test_matches_library_grid(self):

@@ -18,6 +18,7 @@ from qps import (
     qpochhammer,
     qpochhammer_inf,
 )
+from qps.qseries import _qbinomial_row
 
 Q_TRIO = (0.1, 0.5, 0.9)
 
@@ -152,6 +153,13 @@ class TestQBinomial:
     def test_domain_errors(self, n, j):
         with pytest.raises(ValueError):
             qbinomial(n, j, QParam.from_q(0.5))
+
+    @pytest.mark.parametrize("q", [1e-4, 0.004, 0.5, 0.83, 0.998, 0.9999])
+    def test_row_is_bitwise_qbinomial(self, q):
+        qp = QParam.from_q(q)
+        for n in [*range(20), 63, 150]:
+            row = _qbinomial_row(n, qp)
+            assert [x.hex() for x in row] == [qbinomial(n, j, qp).hex() for j in range(n + 1)]
 
 
 class TestQNumber:

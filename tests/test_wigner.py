@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -136,6 +137,18 @@ class TestCarlitzRoutes:
                 assert abs(quad - closed) / max(1.0, abs(closed)) < 1e-13, (m, n)
                 # the integer sum is exact, so the swap is bitwise
                 assert orthogonality_quadrature(n, m, qp, grid) == quad, (m, n)
+
+    @pytest.mark.parametrize("q", [1e-4, 0.004, 0.5, 0.998])
+    def test_closed_form_accuracy(self, q):
+        # against (q;q)_n q^{-n} in exact rationals on the binary value of q
+        qp = QParam.from_q(q)
+        qf = Fraction(q)
+        exact = Fraction(1)
+        for n in range(11):
+            if n:
+                exact *= 1 - qf**n
+            value = exact / qf**n
+            assert abs(Fraction(carlitz_closed_form(n, n, qp)) - value) / value < 1e-15, n
 
     def test_quadrature_normalization(self):
         assert orthogonality_quadrature(0, 0, QParam.from_q(0.5), GRID) == pytest.approx(
