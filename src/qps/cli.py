@@ -145,6 +145,18 @@ def cli():
     """
 
 
+def _abs_r_squared_row(k: int, grid: PhaseGrid, qp: QParam) -> list[float]:
+    """|R_k(theta)|^2 over the grid; OverflowError naming |R_k|^2 past double range."""
+    moduli = [abs(rs_function(k, float(th), qp)) for th in grid.points]
+    try:
+        row = [r ** 2 for r in moduli]
+        if all(map(math.isfinite, row)):
+            return row
+    except OverflowError:
+        pass
+    raise OverflowError(f"|R_k|^2 overflows double precision at k={k}, q={qp.q}")
+
+
 @cli.command()
 @common_options
 def poly(q, mu, n, grid_points, tol, fmt, out):
@@ -155,8 +167,7 @@ def poly(q, mu, n, grid_points, tol, fmt, out):
         coeff_rows = [[float(c) for c in rs_coefficients(k, cfg.qp).coeffs]
                       for k in range(cfg.n + 1)]
 
-        r2 = [[abs(rs_function(k, float(th), cfg.qp)) ** 2 for th in grid.points]
-              for k in range(cfg.n + 1)]
+        r2 = [_abs_r_squared_row(k, grid, cfg.qp) for k in range(cfg.n + 1)]
     if cfg.output_format == "csv":
         lines = [",".join(fnum(c) for c in row) for row in coeff_rows]
         lines.append("")

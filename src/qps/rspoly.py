@@ -132,11 +132,16 @@ def rs_function(n: int, phi: float, qp: QParam) -> complex:
 
     Evaluated in the numerically stable regrouping
     sum_r [n over r]_q (-1)^r q^{(n-r)/2} e^{i r phi} / sqrt((q;q)_n),
-    which keeps every term bounded for any 0 < q < 1.
+    which keeps every term bounded for any 0 < q < 1.  (q;q)_n underflows
+    to 0 as q -> 1 at large n; that raises OverflowError.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     norm = math.sqrt(qfactorial(n, qp))
+    if not norm:
+        raise OverflowError(
+            f"R_n normalization 1/sqrt((q;q)_n) overflows double precision at n={n}, q={qp.q}"
+        )
     acc = 0j
     for r in range(n + 1):
         sign = -1.0 if r & 1 else 1.0

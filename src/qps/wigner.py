@@ -40,9 +40,11 @@ Orthogonality of the polynomial family is exposed through three
 independent routes (Carlitz double sum, closed form, theta_3-weighted
 quadrature).  The double sum cancels terms of size q^{-min(m,n)} down to
 zero off the diagonal, far below the double-precision rounding floor, so it
-runs in exact rational arithmetic; the quadrature route holds its integrand
-in Python-integer fixed point, QUADRATURE_DPS digits below its largest term,
-and sums it exactly, for the same reason.  Everything else is double precision.
+runs in exact integer arithmetic over one common denominator; the quadrature
+route holds its integrand in Python-integer fixed point, QUADRATURE_DPS digits
+below its largest term, and sums it exactly, for the same reason.  Only that
+route uses mpmath, which it imports when it first builds a table.  Everything
+else is double precision.
 """
 
 from __future__ import annotations
@@ -53,11 +55,9 @@ import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-import mpmath as mp
 import numpy as np
 
 from .errors import ImaginaryResidueError, ResolutionWarning
@@ -173,45 +173,46 @@ def carlitz_double_sum(m: int, n: int, qp: QParam) -> float:
 
     Off the diagonal the terms (of size up to q^{-min(m,n)}) cancel exactly,
     which double precision cannot reproduce below ~1e-7 absolute at q = 0.1;
-    the sum therefore runs in exact rational arithmetic on the binary value
-    of q and rounds once at the end.
+    the sum therefore runs in exact integer arithmetic over one common
+    denominator, on the binary value q = N / 2^b, and rounds once at the end.
+    The Gaussian binomial rows are the integers G_{t,r} = [t r]_q 2^{b r(t-r)},
+    built from A_k = 2^{bk} (1 - q^k) = 2^{bk} - N^k, and every term is an
+    integer over N^P 2^{bQ}.
     """
     if m < 0 or n < 0:
         raise ValueError(f"m, n must be >= 0, got m={m}, n={n}")
-    qf = Fraction(qp.q)
-    one = Fraction(1)
+    num, den = qp.q.as_integer_ratio()
+    b = den.bit_length() - 1
+    a_k = [0] + [den**k - num**k for k in range(1, max(m, n) + 1)]
 
-    one_minus_qk = {}
-    pk = one
-    for k in range(1, max(m, n) + 1):
-        pk *= qf
-        one_minus_qk[k] = one - pk
-
-    def binomial_row(top: int) -> list[Fraction]:
-        row = [one]
+    def binomial_row(top: int) -> list[int]:
+        # G_{t,r+1} = G_{t,r} A_{t-r} / A_{r+1}, an exact integer division
+        row = [1]
         for r in range(top):
-            row.append(row[-1] * one_minus_qk[top - r] / one_minus_qk[r + 1])
+            row.append(row[-1] * a_k[top - r] // a_k[r + 1])
         return row
 
     row_m = binomial_row(m)
     row_n = binomial_row(n)
 
-    pow_cache = {0: one}
-
-    def qpow(e: int) -> Fraction:
-        v = pow_cache.get(e)
-        if v is None:
-            v = qpow(e - 1) * qf if e > 0 else qpow(e + 1) / qf
-            pow_cache[e] = v
-        return v
-
-    total = Fraction(0)
+    # term (r, s) is (-1)^{r+s} G_{m,r} G_{n,s} N^e / 2^{b d} with
+    # e = r(r-1)/2 + s(s-1)/2 - rs and d = r(m-r) + s(n-s) + e
+    terms = []
     for r in range(m + 1):
-        base = r * (r - 1) // 2
         for s in range(n + 1):
-            term = row_m[r] * row_n[s] * qpow(base + s * (s - 1) // 2 - r * s)
-            total += -term if (r + s) & 1 else term
-    return float(total)
+            e = (r * (r - 1) + s * (s - 1)) // 2 - r * s
+            terms.append(((r + s) & 1, row_m[r] * row_n[s], e, r * (m - r) + s * (n - s) + e))
+    p_exp = -min(e for _, _, e, _ in terms)
+    q_exp = max(d for _, _, _, d in terms)
+    num_pow = [1]
+    for _ in range(p_exp + max(e for _, _, e, _ in terms)):
+        num_pow.append(num_pow[-1] * num)
+    total = 0
+    for odd, g, e, d in terms:
+        term = g * num_pow[e + p_exp] << b * (q_exp - d)
+        total += -term if odd else term
+    # int / int rounds correctly, so the only rounding is this one
+    return total / (num_pow[p_exp] << b * q_exp)
 
 
 def carlitz_closed_form(m: int, n: int, qp: QParam) -> float:
@@ -244,6 +245,9 @@ def _mp_quad_tables(q: float, k_points: int, n_top: int):
     theta_3 term weights, 1 - q^j), at a few guard bits above frac; y and the
     H recurrence are built in integers.  Cached per (q, grid size, basis bucket).
     """
+    # imported here, its only use, so that no other qps command loads it
+    import mpmath as mp
+
     mu = -math.log(q) / 2.0
     theta_max = 1.0 + math.sqrt(math.pi / mu)
     frac = (
@@ -659,8 +663,13 @@ def circular_variance(values: np.ndarray, grid: PhaseGrid) -> float:
 
 
 def angle_table(n: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12) -> DistributionTable:
-    """Omega^(n) sampled over the grid as a DistributionTable."""
+    """Omega^(n) sampled over the grid as a DistributionTable; OverflowError
+    if any sample is not finite."""
     values = np.array([angle_distribution(n, th, qp, tol) for th in grid.points])
+    if not np.isfinite(values).all():
+        raise OverflowError(
+            f"angle marginal Omega^(n) is not finite in double precision at n={n}, q={qp.q}"
+        )
     meta = {"tol": tol, "grid_points": grid.k_points}
     return DistributionTable(DistributionKind.ANGLE, n, qp, grid.points, values, meta)
 
