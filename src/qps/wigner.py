@@ -42,9 +42,10 @@ quadrature).  The double sum cancels terms of size q^{-min(m,n)} down to
 zero off the diagonal, far below the double-precision rounding floor, so it
 runs in exact integer arithmetic over one common denominator; the quadrature
 route holds its integrand in Python-integer fixed point, QUADRATURE_DPS digits
-below its largest term, and sums it exactly, for the same reason.  Only that
-route uses mpmath, which it imports when it first builds a table.  Everything
-else is double precision.
+below its largest term, and sums it exactly, for the same reason.  Its tables
+are built from integers, plus three constants from the standard library's
+decimal module, which it imports when it first builds a Gaussian-branch
+table.  Everything else is double precision.
 """
 
 from __future__ import annotations
@@ -66,10 +67,12 @@ from .rspoly import _rs_row, rs_function
 from .theta import theta3
 
 #: decimal digits the quadrature orthogonality route keeps below the largest
-#: term of its integrand; its fixed-point scale grows with n and mu from this
+#: term of its integrand; its fixed-point scale, (QUADRATURE_DPS + 1) log2(10)
+#: bits rounded, grows with n and mu from this
 QUADRATURE_DPS = 35
-#: bits added to that scale, and to the mpmath constants rounded onto it, to
-#: absorb the rounding of the H recurrence and of the theta_3 sums
+#: bits added to that scale to absorb the rounding of the H recurrence and of
+#: the theta_3 sums; the constants rounded onto it are built this many bits
+#: wider still, plus room for the error growth of their recurrences
 _QUAD_GUARD_BITS = 20
 #: the exact Wigner slice sum counts in 32-bit digits of 2^-1126, 52 bits below
 #: the smallest subnormal; 68 digits reach past the largest double, 2^1024
@@ -228,6 +231,60 @@ def carlitz_closed_form(m: int, n: int, qp: QParam) -> float:
     return qfactorial(n, qp) * qp.q ** -n
 
 
+def _round_shift(x: int, bits: int) -> int:
+    """x / 2^bits rounded to the nearest integer, ties to even; exact for bits <= 0."""
+    if bits <= 0:
+        return x << -bits
+    r = x >> bits
+    rem, half = x - (r << bits), 1 << (bits - 1)
+    return r + (rem > half or (rem == half and r & 1))
+
+
+def _arctan_inv(x: int, bits: int) -> int:
+    """arctan(1/x) * 2^bits for an integer x > 1, within a unit per series term."""
+    power = total = (1 << bits) // x
+    x2, k = x * x, 1
+    while power:
+        power //= x2
+        k += 2
+        total += -(power // k) if k & 2 else power // k
+    return total
+
+
+def _pi_fixed(bits: int) -> int:
+    """pi * 2^bits within one unit, from Machin's formula with 16 guard bits."""
+    wide = bits + 16
+    return _round_shift(16 * _arctan_inv(5, wide) - 4 * _arctan_inv(239, wide), 16)
+
+
+def _grid_cos_sin(k_points: int, bits: int) -> tuple[list[int], list[int]]:
+    """cos and sin of 2 pi k / K, times 2^bits, for k = 0..K/2.
+
+    The step's cosine and sine come from their Taylor series; every later
+    point is the previous one rotated by the step, so point k is off by about
+    k times the step's error plus k roundings, a few times K units in all.
+    """
+    one = 1 << bits
+    angle = 2 * _pi_fixed(bits) // k_points
+    c1 = s1 = 0
+    term, i = one, 0
+    while term:
+        signed = -term if i & 2 else term
+        if i & 1:
+            s1 += signed
+        else:
+            c1 += signed
+        i += 1
+        term = term * angle // (i << bits)
+    cos_k, sin_k = [one], [0]
+    half_unit = 1 << (bits - 1)
+    for _ in range(k_points // 2):
+        c, s = cos_k[-1], sin_k[-1]
+        cos_k.append((c * c1 - s * s1 + half_unit) >> bits)
+        sin_k.append((s * c1 + c * s1 + half_unit) >> bits)
+    return cos_k, sin_k
+
+
 @lru_cache(maxsize=16)
 def _mp_quad_tables(q: float, k_points: int, n_top: int):
     """theta_3 and H_0..H_{n_top} over the uniform grid, in exact fixed point.
@@ -240,62 +297,94 @@ def _mp_quad_tables(q: float, k_points: int, n_top: int):
 
     frac keeps QUADRATURE_DPS digits below the largest integrand term: the
     Gaussian binomials satisfy 0 <= [j r]_q <= C(j, r), so |H_j(y)| <=
-    (1 + |y|)^j = (1 + e^mu)^j, and theta_3 <= 1 + sqrt(pi/mu).  mpmath only
-    supplies the constants (e^mu, the cosines and sines of the grid, the
-    theta_3 term weights, 1 - q^j), at a few guard bits above frac; y and the
-    H recurrence are built in integers.  Cached per (q, grid size, basis bucket).
-    """
-    # imported here, its only use, so that no other qps command loads it
-    import mpmath as mp
+    (1 + |y|)^j = (1 + e^mu)^j, and theta_3 <= 1 + sqrt(pi/mu).
 
+    The constants are built from the binary value q = N / 2^b at a wider
+    scale 2^wide and rounded once onto 2^frac.  Those algebraic in q are
+    integers: 1 - q^j = (2^{bj} - N^j) / 2^{bj} is rounded exactly,
+    e^mu = q^{-1/2} and sqrt(q) come from isqrt, and the Fourier weights
+    e^{-mu t^2} = sqrt(q)^{t^2} from the recurrence T(t+1) = T(t) sqrt(q)^{2t+1}.
+    The grid cosines and sines rotate one Taylor-series step, with pi from
+    Machin's formula.  The Gaussian branch takes mu, sqrt(pi/mu) and
+    G = e^{-pi^2 / (4 mu K^2)} from decimal, and every term
+    e^{-(2 pi j/K - pi)^2 / (4 mu)} = G^{d^2}, d = 2j - K, from the
+    recurrence T(d+2) = T(d) G^{4d+4}.  y and the H recurrence are built in
+    integers.  Cached per (q, grid size, basis bucket).  The name keeps its
+    mp (multi-precision) prefix because perfbench/tracer.py binds this cache
+    by name.
+    """
     mu = -math.log(q) / 2.0
     theta_max = 1.0 + math.sqrt(math.pi / mu)
     frac = (
-        mp.libmp.dps_to_prec(QUADRATURE_DPS)
+        round((QUADRATURE_DPS + 1) * math.log2(10))
         + math.ceil(2 * n_top * math.log2(1.0 + math.exp(mu)) + math.log2(theta_max))
         + _QUAD_GUARD_BITS
     )
     # theta_3 terms below e^{-ulp_exponent}, half a unit in the last place, are dropped
     ulp_exponent = (frac + 1) * math.log(2)
     half = k_points // 2
-    with mp.workprec(frac + _QUAD_GUARD_BITS):
+    # the working scale absorbs the grid rotation's error, which grows like K
+    guard = _QUAD_GUARD_BITS + 2 * k_points.bit_length() + 16
+    wide = frac + guard
+    num, den = q.as_integer_ratio()
+    b = den.bit_length() - 1
 
-        def fix(x) -> int:
-            return int(mp.nint(mp.ldexp(x, frac)))
+    cos_w, sin_w = _grid_cos_sin(k_points, wide)
+    cos_k = [_round_shift(c, guard) for c in cos_w]
+    sin_k = [_round_shift(s, guard) for s in sin_w]
+    e_mu = _round_shift(math.isqrt((1 << (b + 2 * wide)) // num), guard)
+    one_minus_qj = [_round_shift((den**j - num**j) << frac, b * j) for j in range(n_top)]
+    if mu < 1:
+        # imported here, its only use, so that no other qps command loads it
+        from decimal import Decimal, localcontext
 
-        qm = mp.mpf(q)
-        mu_mp = -mp.log(qm) / 2
-        step = 2 * mp.pi / k_points
-        cos_sin = [mp.cos_sin(step * k) for k in range(half + 1)]
-        cos_k = [fix(c) for c, _ in cos_sin]
-        sin_k = [fix(s) for _, s in cos_sin]
-        e_mu = fix(mp.exp(mu_mp))
-        one_minus_qj = [fix(1 - qm**j) for j in range(n_top)]
-        if mu < 1:
-            # Gaussian sum over the unwrapped grid x_j = 2 pi j / K - pi: theta_3
-            # at point k folds in every x_j with j = k (mod K); x_{K-j} = -x_j
-            pref = mp.sqrt(mp.pi / mu_mp)
-            x_max = 2.0 * math.sqrt(mu * (ulp_exponent + math.log(theta_max)))
-            j_hi = math.floor((math.pi + x_max) * k_points / (2 * math.pi))
-            gauss = {
-                j: fix(pref * mp.exp(-((step * j - mp.pi) ** 2) / (4 * mu_mp)))
-                for j in range((k_points + 1) // 2, j_hi + 1)
-            }
-            theta = [0] * k_points
-            for j in range(k_points - j_hi, j_hi + 1):
-                theta[j % k_points] += gauss[max(j, k_points - j)]
-            theta = theta[: half + 1]
-        else:
-            # Fourier series, cos(t theta_k) = (-1)^t cos(2 pi t k / K)
-            t_cut = math.ceil(math.sqrt(ulp_exponent / mu))
-            signed_w = [(-1) ** t * fix(mp.exp(-mu_mp * t * t)) for t in range(1, t_cut + 1)]
-            cos_full = cos_k + cos_k[k_points - half - 1 : 0 : -1]
-            theta = [
-                ((1 << 2 * frac) + 2 * sum(
-                    w * cos_full[t * k % k_points] for t, w in enumerate(signed_w, 1)
-                ) + (1 << frac - 1)) >> frac
-                for k in range(half + 1)
-            ]
+        # Gaussian sum over the unwrapped grid x_j = 2 pi j / K - pi: theta_3
+        # at point k folds in every x_j with j = k (mod K); x_{K-j} = -x_j
+        x_max = 2.0 * math.sqrt(mu * (ulp_exponent + math.log(theta_max)))
+        j_hi = math.floor((math.pi + x_max) * k_points / (2 * math.pi))
+        # G^{d^2} amplifies the error of G by d^2, so G gets 2 bitlen(d) more bits
+        g_wide = wide + 2 * (2 * j_hi).bit_length() + 8
+        with localcontext() as ctx:
+            ctx.prec = math.ceil(g_wide * math.log10(2)) + 10
+            pi = Decimal(_pi_fixed(g_wide)) / (1 << g_wide)
+            mu_dec = -Decimal(q).ln() / 2
+            pref = int((pi / mu_dec).sqrt() * (1 << g_wide))
+            g = int((-pi * pi / (4 * mu_dec * k_points * k_points)).exp() * (1 << g_wide))
+        one, half_unit = 1 << g_wide, 1 << (g_wide - 1)
+        g4 = (g * g + half_unit) >> g_wide
+        g4 = (g4 * g4 + half_unit) >> g_wide
+        g8 = (g4 * g4 + half_unit) >> g_wide
+        # T = G^{d^2} and U = G^{4d+4}, starting from d = 2j - K at the first j
+        t, u = (g, g8) if k_points & 1 else (one, g4)
+        gauss = {}
+        for j in range((k_points + 1) // 2, j_hi + 1):
+            gauss[j] = _round_shift(pref * t, 2 * g_wide - frac)
+            t = (t * u + half_unit) >> g_wide
+            u = (u * g8 + half_unit) >> g_wide
+        theta = [0] * k_points
+        for j in range(k_points - j_hi, j_hi + 1):
+            theta[j % k_points] += gauss[max(j, k_points - j)]
+        theta = theta[: half + 1]
+    else:
+        # Fourier series, cos(t theta_k) = (-1)^t cos(2 pi t k / K), with
+        # weights e^{-mu t^2} = s^{t^2}, s = sqrt(q): T(t+1) = T(t) s^{2t+1}
+        t_cut = math.ceil(math.sqrt(ulp_exponent / mu))
+        half_unit = 1 << (wide - 1)
+        s = math.isqrt((num << 2 * wide) >> b)
+        s2 = (s * s + half_unit) >> wide
+        t_pow, step = s, (s2 * s + half_unit) >> wide
+        signed_w = []
+        for t in range(1, t_cut + 1):
+            signed_w.append((-1) ** t * _round_shift(t_pow, guard))
+            t_pow = (t_pow * step + half_unit) >> wide
+            step = (step * s2 + half_unit) >> wide
+        cos_full = cos_k + cos_k[k_points - half - 1 : 0 : -1]
+        theta = [
+            ((1 << 2 * frac) + 2 * sum(
+                w * cos_full[t * k % k_points] for t, w in enumerate(signed_w, 1)
+            ) + (1 << frac - 1)) >> frac
+            for k in range(half + 1)
+        ]
     w_theta = [th if k == 0 or 2 * k == k_points else 2 * th for k, th in enumerate(theta)]
 
     # y_k = -e^{mu + i theta_k} = e^mu e^{2 pi i k / K};

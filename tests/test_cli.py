@@ -7,9 +7,12 @@ import warnings
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qps
 from qps import NonConvergenceError, QParam, ResolutionWarning, theta3
+from qps.errors import ImaginaryResidueError
 from qps.cli import build_verify_report, cli
 
 runner = CliRunner()
@@ -204,6 +207,24 @@ class TestVerify:
             report = build_verify_report(QParam.from_q(q), 10, 256, 1e-10)
         failing = [c for c in report["checks"] if not c["passed"]]
         assert report["passed"] is True, failing
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        log_mu=st.floats(math.log(-math.log1p(-1e-4) / 2), math.log(-math.log(1e-4) / 2)),
+        n=st.integers(2, 10),
+    )
+    def test_passes_or_raises_typed_error_across_domain(self, log_mu, n):
+        # q log-spread in mu over [1e-4, 1 - 1e-4]; the errors are the ones
+        # the CLI maps to exit 3, so verify never exits 0 on a failed check
+        qp = QParam.from_mu(math.exp(log_mu))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResolutionWarning)
+            try:
+                report = build_verify_report(qp, n, 256, 1e-10)
+            except (NonConvergenceError, ImaginaryResidueError, OverflowError):
+                return
+        failing = [c for c in report["checks"] if not c["passed"]]
+        assert report["passed"] is True, (qp.q, n, failing)
 
     def test_malformed_q_exits_2_before_compute(self):
         res = run("verify", "--q", "1.5")

@@ -1,9 +1,11 @@
-"""Only `qps verify` loads the exact-oracle stack.
+"""No command loads mpmath or fractions, and only `qps verify` loads decimal.
 
-mpmath and fractions cost start-up time and memory in every process that
-imports them, and only the quadrature oracle of `qps verify` uses mpmath.
-These tests run the CLI in a fresh interpreter, so the modules loaded by the
-test session itself cannot hide an eager import.
+Extended-precision modules cost start-up time and memory in every process
+that imports them.  The exact oracles run on Python integers; only the
+quadrature oracle of `qps verify` takes three constants from decimal, and
+mpmath is a test-only dependency.  These tests run the CLI in a fresh
+interpreter, so the modules loaded by the test session itself cannot hide an
+eager import.
 """
 
 import json
@@ -17,7 +19,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CHILD = r"""
 import contextlib, io, json, sys
 
-ORACLE_MODULES = ("mpmath", "fractions")
+ORACLE_MODULES = ("mpmath", "fractions", "decimal")
 loaded = {}
 
 def record(label):
@@ -71,5 +73,5 @@ def test_only_verify_loads_the_oracle_modules():
     ]
     for label, modules in loaded.items():
         assert modules == [], label
-    assert "mpmath" in verify_loaded
+    assert verify_loaded == ["decimal"]
     assert result["verify_passed"] is True
