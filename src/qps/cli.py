@@ -448,9 +448,9 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
 @click.option("--out", "out", type=click.Path(dir_okay=False), default=None)
 def verify(q, mu, n, grid_points, tol, out):
     """Run the relation checks and emit a JSON report; exit 0 iff all pass."""
-    cfg = make_config(q, mu, max(n, 2), grid_points, tol, "json", out)
+    cfg = make_config(q, mu, n, grid_points, tol, "json", out)
     with numeric_exit():
-        report = build_verify_report(cfg.qp, cfg.n, cfg.grid_points, cfg.tol)
+        report = build_verify_report(cfg.qp, max(cfg.n, 2), cfg.grid_points, cfg.tol)
     emit(json.dumps(report, indent=2) + "\n", cfg)
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]

@@ -25,7 +25,8 @@ marginals, the n = 0 case, and all closed forms unchanged.
 
 Production code assembles the sum once, as a folded cosine spectrum in
 theta (_wigner_spectrum), and every Wigner quantity is a view on it:
-wigner_eval evaluates it at one angle, wigner_grid applies a cosine matrix,
+wigner_eval evaluates it at one angle, wigner_grid applies its cosine series
+to blocks of grid rows (O(K + F) memory for K angles and F frequencies),
 action_distribution reads the trapezoid sum off the frequencies that the
 grid aliases onto the mean, and angle_distribution_from_wigner swaps the
 sinc kernel for its summed action window.  The spectrum's addends are formed
@@ -645,14 +646,25 @@ def wigner_one_sided(
 
 
 def wigner_grid(n: int, m: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12) -> np.ndarray:
-    """O_n(m, theta_k) over a full phase grid: one spectrum pass plus a
-    K x F cosine matrix apply instead of K independent triple sums."""
+    """O_n(m, theta_k) over a full phase grid: one spectrum pass, then the
+    F-term cosine series applied to blocks of grid rows, instead of K
+    independent triple sums.
+
+    A block holds about _SPECTRUM_BLOCK cosines, so memory is O(K + F) rather
+    than O(K F).  Its row count is a multiple of 4: OpenBLAS's dgemv takes
+    rows four at a time, so the blocks give the same bits as one K x F apply
+    on one thread, whatever the thread count.
+    """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
-    return pref * (np.cos(np.outer(grid.points, freqs)) @ amps)
+    rows = max(4, _SPECTRUM_BLOCK // len(freqs) // 4 * 4)
+    series = np.empty(grid.k_points)
+    for lo in range(0, grid.k_points, rows):
+        series[lo : lo + rows] = np.cos(np.outer(grid.points[lo : lo + rows], freqs)) @ amps
+    return pref * series
 
 
 def action_distribution(

@@ -230,6 +230,17 @@ class TestVerify:
         res = run("verify", "--q", "1.5")
         assert res.exit_code == 2
 
+    def test_negative_n_exits_2(self):
+        res = run("verify", "--q", "0.5", "--n", "-7")
+        assert res.exit_code == 2
+        assert "--n must be >= 0, got -7" in res.output
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_small_n_runs_as_2(self, n):
+        res = run("verify", "--q", "0.5", "--n", str(n))
+        assert res.exit_code == 0
+        assert res.output == run("verify", "--q", "0.5", "--n", "2").output
+
     def test_unattainable_tol_exits_1_with_names(self):
         result = runner.invoke(cli, ["verify", "--q", "0.5", "--n", "4", "--tol", "1e-30"])
         assert result.exit_code == 1

@@ -1,5 +1,6 @@
 """Experiment scripts run end to end from a fresh interpreter."""
 
+import hashlib
 import math
 import os
 import re
@@ -39,3 +40,28 @@ def test_angle_width_study_ground_state_variance():
     assert [float(mu) for mu, _ in values] == list(mus)
     for mu, v in values:
         assert float(v) == pytest.approx(1.0 - math.exp(-float(mu)), abs=1e-6)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_op_peak_rss_reports_vmhwm_and_stdout_digest():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["wigner", "--q", "0.5", "--n", "3", "--m", "3", "--grid-points", "64"]
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "op_peak_rss.py"), *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    direct = subprocess.run(
+        [sys.executable, "-m", "qps.cli", *argv],
+        capture_output=True, env=env, timeout=120, check=True,
+    )
+    report = dict(line.split() for line in proc.stdout.splitlines())
+    assert report["stdout_sha256"] == hashlib.sha256(direct.stdout).hexdigest()
+    # an interpreter with numpy loaded holds well over 5 MB
+    assert 5.0 < float(report["peak_rss_mb"]) < 1000.0
+    failed = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "op_peak_rss.py"), "verify", "--q", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert failed.returncode == 2
+    assert "peak_rss_mb" in failed.stdout

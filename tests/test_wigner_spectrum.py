@@ -1,19 +1,61 @@
-"""The numpy Wigner spectrum against the scalar t/r/s loop it replaced, and
-its exact grouped sum against math.fsum, both compared bitwise."""
+"""The numpy Wigner spectrum against the scalar t/r/s loop it replaced, its
+exact grouped sum against math.fsum, and the blocked grid apply against one
+whole-grid cosine matrix, all compared bitwise."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qps import QParam, angle_distribution_from_wigner, qfactorial
+from qps import PhaseGrid, QParam, angle_distribution_from_wigner, qfactorial, wigner_grid
 from qps import wigner
 from qps.errors import ImaginaryResidueError
 from qps.rspoly import _rs_row
-from qps.wigner import _limb_counts, _round_limbs, _sinc_at, _t_cutoff, _wigner_spectrum
+from qps.wigner import (
+    _SPECTRUM_BLOCK,
+    _limb_counts,
+    _round_limbs,
+    _sinc_at,
+    _t_cutoff,
+    _wigner_spectrum,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: pref * (cos(outer(theta, f)) @ amps) over each whole grid, one hex line per
+#: (n, q, m, K) case in argv[1]
+ONE_SHOT_APPLY = """
+import json, sys
+import numpy as np
+from qps import PhaseGrid, QParam
+from qps.wigner import _sinc_at, _wigner_spectrum
+for n, q, m, k in json.loads(sys.argv[1]):
+    pref, freqs, amps = _wigner_spectrum(n, QParam.from_q(q), 1e-12, _sinc_at(m))
+    points = PhaseGrid.uniform(k).points
+    print((pref * (np.cos(np.outer(points, freqs)) @ amps)).tobytes().hex())
+"""
+
+
+def one_shot_apply(cases):
+    """The K x F matrix apply that wigner_grid blocks, run in a fresh
+    interpreter on one OpenBLAS thread: a threaded dgemv splits the K rows
+    between threads at points that need not be multiples of 4, so its last
+    bits depend on the thread count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_SHOT_APPLY, json.dumps(cases)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return proc.stdout.split()
 
 
 def reference_spectrum(n, qp, tol, kernel):
@@ -114,6 +156,32 @@ class TestMatchesScalarLoop:
         tracemalloc.start()
         try:
             _wigner_spectrum(150, qp, 1e-12, _sinc_at(152))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestGridApply:
+    # F = 81 and 71 frequencies: blocks of 404 and 460 rows
+    @pytest.mark.parametrize("n,q,m", [(150, 0.0811, 152), (32, 0.97, 32)])
+    def test_matches_one_shot_apply(self, n, q, m):
+        qp = QParam.from_q(q)
+        _, freqs, _ = _wigner_spectrum(n, qp, 1e-12, _sinc_at(m))
+        rows = _SPECTRUM_BLOCK // len(freqs) // 4 * 4
+        ks = [8, 257, 4096, 4099, rows + 1]
+        want = one_shot_apply([(n, q, m, k) for k in ks])
+        got = [wigner_grid(n, m, qp, PhaseGrid.uniform(k)).tobytes().hex() for k in ks]
+        assert got == want
+
+    def test_memory_bound(self):
+        # the whole 16384 x 81 cosine matrix alone is 10 MiB
+        qp = QParam.from_q(0.0811)
+        grid = PhaseGrid.uniform(16384)
+        wigner_grid(150, 152, qp, grid)
+        tracemalloc.start()
+        try:
+            wigner_grid(150, 152, qp, grid)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
