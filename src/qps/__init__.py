@@ -10,11 +10,8 @@ in qps.cli.
 from .errors import ImaginaryResidueError, NonConvergenceError, ResolutionWarning
 from .qalgebra import (
     AlgebraReport,
-    LadderMatrices,
-    StateVector,
     apply_A_poly,
     apply_Adag_poly,
-    build_ladder_matrices,
     rs_basis_expand,
     verify_algebra,
 )
@@ -29,7 +26,6 @@ from .qseries import (
 )
 from .rspoly import (
     Polynomial,
-    RSFunctionValue,
     jackson_derivative,
     rs_coefficients,
     rs_eval_direct,
@@ -71,15 +67,12 @@ __all__ = [
     "DistributionKind",
     "DistributionTable",
     "ImaginaryResidueError",
-    "LadderMatrices",
     "MU_SWITCH",
     "NonConvergenceError",
     "PhaseGrid",
     "Polynomial",
     "QParam",
-    "RSFunctionValue",
     "ResolutionWarning",
-    "StateVector",
     "ThetaEval",
     "ThetaRepresentation",
     "WignerValue",
@@ -90,7 +83,6 @@ __all__ = [
     "angle_table",
     "apply_A_poly",
     "apply_Adag_poly",
-    "build_ladder_matrices",
     "carlitz_closed_form",
     "carlitz_double_sum",
     "circular_variance",

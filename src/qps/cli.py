@@ -2,16 +2,13 @@
 
 Subcommands: poly, theta, angle-dist, action-dist, wigner, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical non-convergence or overflow.  The QPS_THREADS environment
-variable is validated (a non-negative integer) but has no effect: sweeps
-run serially, as the pure-Python kernels hold the interpreter lock.
+3 numerical non-convergence or overflow.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -66,20 +63,7 @@ def make_config(q, mu, n, grid_points, tol, fmt, out) -> RunConfig:
         raise click.UsageError(f"--grid-points must be >= 8, got {grid_points}")
     if not (tol > 0.0):
         raise click.UsageError(f"--tol must be positive, got {tol}")
-    worker_count()  # validate QPS_THREADS up front
     return RunConfig(qp, n, grid_points, tol, fmt, out)
-
-
-def worker_count() -> int:
-    """QPS_THREADS as validated; the value is accepted for compatibility only."""
-    raw = os.environ.get("QPS_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise click.UsageError(f"QPS_THREADS must be a non-negative integer, got {raw!r}")
-    if value < 0:
-        raise click.UsageError(f"QPS_THREADS must be >= 0, got {value}")
-    return value
 
 
 def fnum(x: float) -> str:

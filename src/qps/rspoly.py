@@ -147,16 +147,3 @@ def rs_function(n: int, phi: float, qp: QParam) -> complex:
         sign = -1.0 if r & 1 else 1.0
         acc += sign * qbinomial(n, r, qp) * qp.qpow((n - r) / 2.0) * cmath.exp(1j * r * phi)
     return acc / norm
-
-
-@dataclass(frozen=True)
-class RSFunctionValue:
-    """One sampled R_n value: q^{n/2}/sqrt((q;q)_n) * H_n(-q^{-1/2} e^{i phi})."""
-
-    n: int
-    phi: float
-    value: complex
-
-    @classmethod
-    def evaluate(cls, n: int, phi: float, qp: QParam) -> "RSFunctionValue":
-        return cls(n, phi, rs_function(n, phi, qp))

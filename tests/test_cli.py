@@ -262,10 +262,6 @@ class TestConfigValidation:
         assert run("poly", "--q", "0").exit_code == 2
         assert run("poly", "--q", "1").exit_code == 2
 
-    def test_bad_threads_env(self):
-        res = run("theta", "--q", "0.5", env={"QPS_THREADS": "banana"})
-        assert res.exit_code == 2
-
 
 class TestNonConvergenceExit:
     def test_exit_code_3(self, monkeypatch):

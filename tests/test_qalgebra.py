@@ -8,10 +8,8 @@ import pytest
 from qps import (
     Polynomial,
     QParam,
-    StateVector,
     apply_A_poly,
     apply_Adag_poly,
-    build_ladder_matrices,
     qnumber,
     rs_basis_expand,
     rs_coefficients,
@@ -21,29 +19,77 @@ from qps import (
 Q_TRIO = (0.1, 0.5, 0.9)
 
 
+def dense_ladders(n_max, qp):
+    """A, A+ and N as dense complex matrices on the truncated basis
+    H_0 .. H_nmax (columns index the input basis element)."""
+    dim = n_max + 1
+    a = np.zeros((dim, dim), dtype=complex)
+    adag = np.zeros((dim, dim), dtype=complex)
+    for n in range(1, dim):
+        a[n - 1, n] = qnumber(n, qp)
+        adag[n, n - 1] = 1.0
+    n_mat = np.diag(np.arange(dim, dtype=float)).astype(complex)
+    return a, adag, n_mat
+
+
+def dense_algebra(n_max, qp):
+    """The relation residuals from dense matrix products, max-normed over the
+    interior block 0..n_max-1, and the classical commutator deviation: the
+    reference that verify_algebra's O(n) pass must match bit for bit."""
+    a, adag, n_mat = dense_ladders(n_max, qp)
+    dim = n_max + 1
+    eye = np.eye(dim, dtype=complex)
+    q_pow_n = np.diag(np.array([qp.qpow(k) for k in range(dim)], dtype=complex))
+    qnum_n = np.diag(np.array([qnumber(k, qp) for k in range(dim)], dtype=complex))
+
+    def interior_max(x):
+        return float(np.max(np.abs(x[:n_max, :n_max])))
+
+    comm = a @ adag - adag @ a
+    deviations = {
+        "comm_a_adag_minus_qN": comm - q_pow_n,
+        "comm_N_adag_minus_adag": n_mat @ adag - adag @ n_mat - adag,
+        "comm_N_a_plus_a": n_mat @ a - a @ n_mat + a,
+        "aadag_minus_q_adaga_minus_one": a @ adag - qp.q * (adag @ a) - eye,
+        "adaga_minus_qnumber_N": adag @ a - qnum_n,
+    }
+    residuals = {name: interior_max(dev) for name, dev in deviations.items()}
+    return residuals, interior_max(comm - eye)
+
+
 class TestLadderMatrices:
     def test_smallest_case_exact(self):
-        mats = build_ladder_matrices(1, QParam.from_q(0.42))
-        assert np.array_equal(mats.a_mat, np.array([[0, 1], [0, 0]], dtype=complex))
-        assert np.array_equal(mats.adag_mat, np.array([[0, 0], [1, 0]], dtype=complex))
-        assert np.array_equal(mats.n_mat, np.diag([0.0, 1.0]).astype(complex))
+        a, adag, n_mat = dense_ladders(1, QParam.from_q(0.42))
+        assert np.array_equal(a, np.array([[0, 1], [0, 0]], dtype=complex))
+        assert np.array_equal(adag, np.array([[0, 0], [1, 0]], dtype=complex))
+        assert np.array_equal(n_mat, np.diag([0.0, 1.0]).astype(complex))
 
     def test_superdiagonal_holds_qnumbers(self):
-        qp = QParam.from_q(0.5)
-        mats = build_ladder_matrices(3, qp)
-        superdiag = [mats.a_mat[k, k + 1].real for k in range(3)]
+        a, _, _ = dense_ladders(3, QParam.from_q(0.5))
+        superdiag = [a[k, k + 1].real for k in range(3)]
         assert superdiag == pytest.approx([1.0, 1.5, 1.75])
 
     def test_raising_ground_state(self):
+        basis = np.eye(5, dtype=complex)
         for q in Q_TRIO:
-            mats = build_ladder_matrices(4, QParam.from_q(q))
-            e0 = StateVector.basis_state(0, 4)
-            e1 = StateVector.basis_state(1, 4)
-            assert mats.apply_adag(e0).coeffs == e1.coeffs
+            _, adag, _ = dense_ladders(4, QParam.from_q(q))
+            assert np.array_equal(adag @ basis[0], basis[1])
 
     def test_rejects_degenerate_truncation(self):
         with pytest.raises(ValueError):
-            build_ladder_matrices(0, QParam.from_q(0.5))
+            verify_algebra(0, QParam.from_q(0.5), 1e-12)
+
+    @pytest.mark.parametrize("n_max", [2, 3, 10, 15, 120])
+    @pytest.mark.parametrize("q", [1e-4, 0.004, 0.1, 0.5, 0.9, 0.998, 0.9999, 1 - 1e-8])
+    def test_verify_matches_dense_products_bitwise(self, q, n_max):
+        qp = QParam.from_q(q)
+        report = verify_algebra(n_max, qp, 1e-12)
+        residuals, classical = dense_algebra(n_max, qp)
+        assert list(report.residuals) == list(residuals)
+        assert {k: v.hex() for k, v in report.residuals.items()} == {
+            k: v.hex() for k, v in residuals.items()
+        }
+        assert report.classical_commutator_deviation.hex() == classical.hex()
 
 
 class TestPolynomialLadders:
@@ -143,8 +189,8 @@ class TestVerifyAlgebra:
 
     def test_commutator_spectrum(self):
         qp = QParam.from_q(0.5)
-        mats = build_ladder_matrices(12, qp)
-        comm = mats.a_mat @ mats.adag_mat - mats.adag_mat @ mats.a_mat
+        a, adag, _ = dense_ladders(12, qp)
+        comm = a @ adag - adag @ a
         interior = comm[:12, :12]
         assert np.max(np.abs(interior - np.diag(qp.q ** np.arange(12)))) < 1e-12
 
@@ -155,8 +201,8 @@ class TestVerifyAlgebra:
     def test_truncation_artifact_excluded(self):
         # the full [A, Adag] matrix deviates at the top corner only
         qp = QParam.from_q(0.5)
-        mats = build_ladder_matrices(6, qp)
-        comm = mats.a_mat @ mats.adag_mat - mats.adag_mat @ mats.a_mat
+        a, adag, _ = dense_ladders(6, qp)
+        comm = a @ adag - adag @ a
         full_resid = np.max(np.abs(comm - np.diag(qp.q ** np.arange(7))))
         assert full_resid > 0.1  # corner artifact is O(1)
         assert verify_algebra(6, qp, 1e-12).passed
@@ -177,12 +223,3 @@ class TestVerifyAlgebra:
         with pytest.raises(ValueError):
             verify_algebra(5, QParam.from_q(0.5), 0.0)
 
-
-class TestStateVector:
-    def test_basis_state_bounds(self):
-        with pytest.raises(ValueError):
-            StateVector.basis_state(5, 4)
-
-    def test_needs_one_coefficient(self):
-        with pytest.raises(ValueError):
-            StateVector(())

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qps import (
     Polynomial,
     QParam,
-    RSFunctionValue,
     jackson_derivative,
     qbinomial,
     qfactorial,
@@ -173,10 +172,10 @@ class TestRSFunction:
 
     def test_sample_record_satisfies_definition(self):
         qp = QParam.from_q(0.5)
-        sample = RSFunctionValue.evaluate(3, 0.9, qp)
-        y = -qp.q**-0.5 * cmath.exp(1j * sample.phi)
-        direct = qp.q ** (sample.n / 2.0) / math.sqrt(qfactorial(3, qp)) * rs_eval_direct(3, y, qp)
-        assert sample.value == pytest.approx(direct, rel=1e-13)
+        n, phi = 3, 0.9
+        y = -qp.q**-0.5 * cmath.exp(1j * phi)
+        direct = qp.q ** (n / 2.0) / math.sqrt(qfactorial(n, qp)) * rs_eval_direct(n, y, qp)
+        assert rs_function(n, phi, qp) == pytest.approx(direct, rel=1e-13)
 
     def test_intermediates_bounded_at_small_q(self):
         # the q^{-1/2} substitution alone would reach q^{-n/2} ~ 1e14 here;

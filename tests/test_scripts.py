@@ -1,6 +1,7 @@
 """Experiment scripts run end to end from a fresh interpreter."""
 
 import hashlib
+import json
 import math
 import os
 import re
@@ -65,3 +66,21 @@ def test_op_peak_rss_reports_vmhwm_and_stdout_digest():
     )
     assert failed.returncode == 2
     assert "peak_rss_mb" in failed.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_verify_memory_does_not_grow_with_n(tmp_path):
+    # the ladder relations are checked in O(n): dense (n+1)^2 ladder matrices
+    # would hold several GB at n = 5000
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "op_peak_rss.py"),
+         "verify", "--q", "0.5", "--n", "5000", "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["passed"] is True
+    report = dict(line.split() for line in proc.stdout.splitlines())
+    assert float(report["peak_rss_mb"]) < 40.0
