@@ -25,6 +25,7 @@ from .wigner import (
     PhaseGrid,
     _t_cutoff,
     action_distribution,
+    action_table,
     angle_distribution,
     angle_table,
     carlitz_closed_form,
@@ -267,12 +268,11 @@ def _parse_m_range(spec: str) -> tuple[int, int]:
 @click.option("--m-range", "m_range", default="-2:10", show_default=True,
               help="Inclusive integer range LO:HI of action values.")
 def action_dist(q, mu, n, grid_points, tol, fmt, out, m_range):
-    """Action marginal Lambda^(n)(m) via angle quadrature of the Wigner function."""
+    """Action marginal Lambda^(n)(m) = delta_{m,n}; --grid-points and --tol do not change it."""
     cfg = make_config(q, mu, n, grid_points, tol, fmt, out)
     lo, hi = _parse_m_range(m_range)
     with numeric_exit():
-        grid = PhaseGrid.uniform(cfg.grid_points)
-        values = [action_distribution(cfg.n, m, cfg.qp, grid, cfg.tol) for m in range(lo, hi + 1)]
+        values = action_table(cfg.n, lo, hi, cfg.qp).values.tolist()
     if cfg.output_format == "csv":
         lines = ["m,lambda"]
         for m, v in zip(range(lo, hi + 1), values):
@@ -286,7 +286,6 @@ def action_dist(q, mu, n, grid_points, tol, fmt, out, m_range):
             "n": cfg.n,
             "grid_points": cfg.grid_points,
             "tol": cfg.tol,
-            "t_cutoff": _t_cutoff(cfg.qp.mu, cfg.tol),
             "m": list(range(lo, hi + 1)),
             "values": values,
         }
@@ -337,7 +336,7 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
     })
 
     top = min(n_max, 10)
-    # the quadrature and the marginal checks must resolve the theta_3 bandwidth,
+    # the quadrature and the angle checks must resolve the theta_3 bandwidth,
     # which grows like 1/sqrt(mu) as q -> 1; enlarge their grid beyond the display grid
     quad_tol = min(tol, 1e-12)
     bandwidth = math.ceil(math.sqrt(math.log(1.0 / quad_tol) / qp.mu))
@@ -388,7 +387,7 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
         n_check -= 1
     worst_action = 0.0
     for m in (n_check - 1, n_check, n_check + 1, n_check + 3):
-        lam = action_distribution(n_check, m, qp, grid, tol=min(tol, 1e-8))
+        lam = action_distribution(n_check, m, qp)
         expect = 1.0 if m == n_check else 0.0
         worst_action = max(worst_action, abs(lam - expect))
     checks.append({

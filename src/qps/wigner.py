@@ -23,19 +23,18 @@ shift-averaged kernel
 which is even in t, pairs every term with its conjugate, and leaves both
 marginals, the n = 0 case, and all closed forms unchanged.
 
-Production code assembles the sum once, as a folded cosine spectrum in
-theta (_wigner_spectrum), and every Wigner quantity is a view on it:
+Production code assembles the sum once, as a folded cosine spectrum in theta
+(_wigner_spectrum), and the theta-resolved quantities are views on it:
 wigner_eval evaluates it at one angle, wigner_grid applies its cosine series
-to blocks of grid rows (O(K + F) memory for K angles and F frequencies),
-action_distribution reads the trapezoid sum off the frequencies that the
-grid aliases onto the mean, and angle_distribution_from_wigner swaps the
-sinc kernel for its summed action window.  The spectrum's addends are formed
-in numpy blocks, and each frequency slice is summed exactly: every addend's
-53-bit mantissa is cut into 32-bit digits at its binary exponent, the digits
-are added per slice in integers, and the slice's integer total is rounded
-once, which gives the same bits as math.fsum of the slice.  The raw
-one-sided sums in wigner_one_sided are the independent loop that
-verification compares against.
+to blocks of grid rows (O(K + F) memory for K angles and F frequencies), and
+angle_distribution_from_wigner swaps the sinc kernel for its summed action
+window.  action_distribution sums only the finite f = 0 slice, directly.
+The spectrum's addends are formed in numpy blocks, and each frequency slice
+is summed exactly: every addend's 53-bit mantissa is cut into 32-bit digits
+at its binary exponent, the digits are added per slice in integers, and the
+slice's integer total is rounded once, which gives the same bits as
+math.fsum of the slice.  The raw one-sided sums in wigner_one_sided are the
+independent loop that verification compares against.
 
 Orthogonality of the polynomial family is exposed through three
 independent routes (Carlitz double sum, closed form, theta_3-weighted
@@ -508,6 +507,26 @@ def _round_limbs(counts: np.ndarray) -> list[float]:
     return sums
 
 
+def _wigner_weights(n: int, qp: QParam, ker_max: float) -> tuple[float, list[float]]:
+    """1/(q;q)_n and the row a_r; OverflowError if the prefactor, or a_max^2 ker_max,
+    which bounds every addend wt a_r a_s ker when |ker| <= ker_max, overflows."""
+    q_fact = qfactorial(n, qp)
+    # (q;q)_n underflows as q -> 1 at large n, before a_r a_s overflows
+    pref = 1.0 / q_fact if q_fact else math.inf
+    if not math.isfinite(pref):
+        raise OverflowError(
+            f"Wigner prefactor 1/(q;q)_n overflows double precision at n={n}, q={qp.q}"
+        )
+    a = _rs_row(n, qp)
+    # a_r grows like a binomial coefficient as q -> 1
+    a_max = max(map(abs, a))
+    if not math.isfinite(a_max * a_max * ker_max):
+        raise OverflowError(
+            f"Wigner weight a_r a_s overflows double precision at n={n}, q={qp.q}"
+        )
+    return pref, a
+
+
 def _wigner_spectrum(
     n: int, qp: QParam, tol: float, kernel: Callable[[int], float]
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -529,23 +548,9 @@ def _wigner_spectrum(
     past double range, raises OverflowError.
     """
     t_cut = _t_cutoff(qp.mu, tol)
-    q_fact = qfactorial(n, qp)
-    # (q;q)_n underflows as q -> 1 at large n, before a_r a_s overflows
-    pref = 1.0 / q_fact if q_fact else math.inf
-    if not math.isfinite(pref):
-        raise OverflowError(
-            f"Wigner prefactor 1/(q;q)_n overflows double precision at n={n}, q={qp.q}"
-        )
-    a = _rs_row(n, qp)
     # kernel(c2) is ker_table[c2 + t_cut]
     ker_table = [kernel(c2) for c2 in range(-t_cut, 2 * n + t_cut + 1)]
-    # wt <= 1 and |ker| <= max |kernel|, so this bounds every addend; a_r
-    # itself grows like a binomial coefficient as q -> 1
-    a_max = max(map(abs, a))
-    if not math.isfinite(a_max * a_max * float(max(map(abs, ker_table)))):
-        raise OverflowError(
-            f"Wigner weight a_r a_s overflows double precision at n={n}, q={qp.q}"
-        )
+    pref, a = _wigner_weights(n, qp, float(max(map(abs, ker_table))))
     a = np.array(a)
     ker_table = np.array(ker_table, dtype=float)
     # a_r a_s == a_s a_r bitwise, so the (-t, s, r) partner addend is identical
@@ -667,34 +672,31 @@ def wigner_grid(n: int, m: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12)
     return pref * series
 
 
-def action_distribution(
-    n: int, m: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-8
-) -> float:
-    """Action marginal Lambda^(n)(m): the Wigner function integrated over the
-    uniform angle grid with weight d(theta)/(2 pi); equals delta_{m,n} within tol.
+def action_distribution(n: int, m: int, qp: QParam) -> float:
+    """Action marginal Lambda^(n)(m) = delta_{m,n}, the exact angle integral
+    of the Wigner function with weight d(theta)/(2 pi).
 
-    On theta_k = -pi + 2 pi k / K the trapezoid sum of cos(f theta) is
-    (-1)^f when K divides f and 0 otherwise, so the grid sum is read off the
-    spectrum without sampling it.  For max f < K only f = 0 survives and the
-    result is the exact angle integral; otherwise the grid aliases higher
-    frequencies onto the mean and a ResolutionWarning fires.
+    Only the frequency f = t + r - s = 0 survives, so t = s - r and the t-sum
+    is finite; the sinc centres s and r are integers, so the kernel is
+    (delta_{m,s} + delta_{m,r})/2.  That leaves, in O(n) and without a grid,
+
+        Lambda(m) = 1/(q;q)_n * [a_m^2 + sum_{r != m} e^{-mu (m-r)^2} a_r a_m],
+
+    each cross term added as its (r, m) and (m, r) halves by math.fsum: the
+    spectrum's f = 0 slice, bit for bit.  Zero for m outside [0, n].
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
-    k_points = grid.k_points
-    if freqs.size and freqs[-1] >= k_points:
-        warnings.warn(
-            f"{k_points}-point grid aliases Wigner frequency {freqs[-1]} onto the "
-            f"action marginal for (n={n}, q={qp.q})",
-            ResolutionWarning,
-            stacklevel=2,
-        )
-    return pref * math.fsum(
-        -a if f & 1 else a for f, a in zip(freqs.tolist(), amps.tolist()) if f % k_points == 0
-    )
+    pref, a = _wigner_weights(n, qp, 1.0)
+    if not 0 <= m <= n:
+        return 0.0
+    a_m = a[m]
+    terms = [a_m * a_m]
+    for r, a_r in enumerate(a):
+        if r != m:
+            half = (math.exp(-qp.mu * (m - r) * (m - r)) * (a_r * a_m)) * 0.5
+            terms += (half, half)
+    return pref * math.fsum(terms)
 
 
 def angle_distribution(n: int, theta: float, qp: QParam, tol: float = 1e-12) -> float:
@@ -775,13 +777,10 @@ def angle_table(n: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12) -> Dist
     return DistributionTable(DistributionKind.ANGLE, n, qp, grid.points, values, meta)
 
 
-def action_table(
-    n: int, m_lo: int, m_hi: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-8
-) -> DistributionTable:
+def action_table(n: int, m_lo: int, m_hi: int, qp: QParam) -> DistributionTable:
     """Lambda^(n)(m) for m in [m_lo, m_hi] as a DistributionTable."""
     if m_hi < m_lo:
         raise ValueError(f"empty m range [{m_lo}, {m_hi}]")
     support = np.arange(m_lo, m_hi + 1)
-    values = np.array([action_distribution(n, int(m), qp, grid, tol) for m in support])
-    meta = {"tol": tol, "grid_points": grid.k_points, "t_cutoff": _t_cutoff(qp.mu, tol)}
-    return DistributionTable(DistributionKind.ACTION, n, qp, support, values, meta)
+    values = np.array([action_distribution(n, int(m), qp) for m in support])
+    return DistributionTable(DistributionKind.ACTION, n, qp, support, values, {})

@@ -75,7 +75,7 @@ def test_criterion_01_orthogonality_triangle():
 
 
 def test_criterion_02_action_marginal():
-    """Angle quadrature of the Wigner function reproduces delta_{m,n} to
+    """The angle integral of the Wigner function reproduces delta_{m,n} to
     1e-8 for n <= 6, m in [-2, 10], q in {0.1, 0.5, 0.9}, within 30 s."""
     start = time.perf_counter()
     worst = 0.0
@@ -83,7 +83,7 @@ def test_criterion_02_action_marginal():
         qp = QParam.from_q(q)
         for n in range(7):
             for m in range(-2, 11):
-                lam = action_distribution(n, m, qp, GRID, 1e-8)
+                lam = action_distribution(n, m, qp)
                 worst = max(worst, abs(lam - (1.0 if m == n else 0.0)))
     elapsed = time.perf_counter() - start
     report(
@@ -164,7 +164,7 @@ def test_criterion_05_normalization():
         for n in range(7):
             table = angle_table(n, qp, GRID, 1e-12)
             worst_angle = max(worst_angle, abs(GRID.weight * float(np.sum(table.values)) - 1.0))
-        total = sum(action_distribution(3, m, qp, GRID, 1e-8) for m in range(-2, 11))
+        total = sum(action_distribution(3, m, qp) for m in range(-2, 11))
         worst_action = max(worst_action, abs(total - 1.0))
     report(
         5,

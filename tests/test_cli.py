@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from qps.errors import ImaginaryResidueError
 from qps.cli import build_verify_report, cli
 
 runner = CliRunner()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(*args, env=None):
@@ -129,6 +134,23 @@ class TestActionDist:
     def test_bad_range_is_usage_error(self):
         res = run("action-dist", "--q", "0.5", "--m-range", "5:1")
         assert res.exit_code == 2
+
+    def test_coarse_grid_is_exact(self):
+        # an 8-point grid aliases the Wigner spectrum, but the action marginal
+        # is the exact angle integral, independent of --grid-points and --tol
+        args = ("action-dist", "--q", "0.85", "--n", "5", "--m-range", "2:8")
+        res = run(*args, "--grid-points", "8")
+        assert res.exit_code == 0
+        _, rows = parse_csv_table(res.output)
+        expected = [1.0 if int(m) == 5 else 0.0 for m in rows[:, 0]]
+        assert rows[:, 1] == pytest.approx(expected, abs=1e-8)
+        assert res.output == run(*args, "--grid-points", "4096", "--tol", "1e-3").output
+
+    def test_json_keys(self):
+        res = run("action-dist", "--q", "0.5", "--n", "2", "--m-range", "1:3", "--format", "json")
+        payload = json.loads(res.output)
+        assert set(payload) == {"command", "q", "mu", "n", "grid_points", "tol", "m", "values"}
+        assert payload["m"] == [1, 2, 3]
 
     def test_small_q_large_n_is_delta(self):
         # the Wigner weights a_r a_s stay bounded at q = 1e-4 where the split
@@ -280,11 +302,19 @@ class TestDeterminism:
         assert a.output == b.output
 
     def test_thread_count_does_not_change_output(self):
-        base = run("action-dist", "--q", "0.5", "--n", "2", "--m-range", "-1:4",
-                   env={"QPS_THREADS": "1"})
-        multi = run("action-dist", "--q", "0.5", "--n", "2", "--m-range", "-1:4",
-                    env={"QPS_THREADS": "4"})
-        assert base.output == multi.output
+        # OpenBLAS reads its thread count at start-up, so each count needs its
+        # own interpreter; 4099 rows is not a multiple of the row blocks
+        def wigner_stdout(threads):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "qps.cli", "wigner", "--q", "0.97", "--n", "32",
+                 "--m", "32", "--grid-points", "4099"],
+                capture_output=True, text=True, env=env, timeout=120, check=True,
+            )
+            return proc.stdout
+
+        assert wigner_stdout("1") == wigner_stdout("2")
 
     def test_round_trip_precision(self):
         res = run("theta", "--q", "0.5", "--grid-points", "8")

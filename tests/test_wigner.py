@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -272,21 +271,21 @@ class TestGridSweep:
 class TestActionMarginal:
     def test_kronecker_delta_examples(self):
         qp = QParam.from_q(0.5)
-        assert action_distribution(2, 2, qp, GRID, 1e-8) == pytest.approx(1.0, abs=1e-8)
-        assert action_distribution(2, 5, qp, GRID, 1e-8) == pytest.approx(0.0, abs=1e-8)
-        assert action_distribution(0, -1, qp, GRID, 1e-8) == pytest.approx(0.0, abs=1e-8)
+        assert action_distribution(2, 2, qp) == pytest.approx(1.0, abs=1e-8)
+        assert action_distribution(2, 5, qp) == pytest.approx(0.0, abs=1e-8)
+        assert action_distribution(0, -1, qp) == pytest.approx(0.0, abs=1e-8)
 
     @pytest.mark.parametrize("q", Q_TRIO)
     def test_delta_across_states(self, q):
         qp = QParam.from_q(q)
         for n in range(7):
             for m in range(-2, 11):
-                lam = action_distribution(n, m, qp, GRID, 1e-8)
+                lam = action_distribution(n, m, qp)
                 assert abs(lam - (1.0 if m == n else 0.0)) < 1e-8
 
     def test_action_table_structure(self):
         qp = QParam.from_q(0.9)
-        table = action_table(4, 3, 5, qp, GRID, 1e-8)
+        table = action_table(4, 3, 5, qp)
         assert table.kind is DistributionKind.ACTION
         assert list(table.support) == [3, 4, 5]
         assert table.values == pytest.approx([0.0, 1.0, 0.0], abs=1e-8)
@@ -294,40 +293,21 @@ class TestActionMarginal:
 
     def test_total_action_mass(self):
         qp = QParam.from_q(0.5)
-        total = sum(action_distribution(3, m, qp, GRID, 1e-8) for m in range(-2, 11))
+        total = sum(action_distribution(3, m, qp) for m in range(-2, 11))
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_small_q_large_n_is_delta(self):
         qp = QParam.from_q(1e-4)
-        grid = PhaseGrid.uniform(512)
         for m in (299, 300, 301):
-            lam = action_distribution(300, m, qp, grid, 1e-8)
+            lam = action_distribution(300, m, qp)
             assert lam == pytest.approx(1.0 if m == 300 else 0.0, abs=1e-8)
 
-    def test_aliasing_grid_warns(self):
-        qp = QParam.from_q(0.85)
-        with pytest.warns(ResolutionWarning):
-            action_distribution(5, 4, qp, PhaseGrid.uniform(8), 1e-8)
-
-    @pytest.mark.parametrize("m", (4, 5, 7))
-    def test_smallest_unaliased_grid_is_exact(self, m):
-        # the K-point trapezoid integrates cos(f theta) exactly for f < K, so
-        # every grid finer than the spectrum returns the same marginal
-        qp = QParam.from_q(0.85)
-
-        def warns(k):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                action_distribution(5, m, qp, PhaseGrid.uniform(k), 1e-8)
-            return any(issubclass(w.category, ResolutionWarning) for w in caught)
-
-        k = next(k for k in range(2, 4096) if not warns(k))
-        assert k > 8
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResolutionWarning)
-            lam = action_distribution(5, m, qp, PhaseGrid.uniform(k), 1e-8)
-            fine = action_distribution(5, m, qp, PhaseGrid.uniform(4096), 1e-8)
-        assert abs(lam - fine) < 1e-14
+    def test_no_truncated_tail(self):
+        # the f = 0 sum is finite; a Gaussian t cutoff at 1e-8 left 1.21e-8
+        # here, amplified by 1/(q;q)_n and the a_r a_s weights
+        qp = QParam.from_q(0.8)
+        assert abs(action_distribution(17, 16, qp)) < 1e-9
+        assert abs(action_distribution(17, 17, qp) - 1.0) < 1e-9
 
 
 class TestAngleMarginal:

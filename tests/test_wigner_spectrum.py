@@ -1,6 +1,7 @@
 """The numpy Wigner spectrum against the scalar t/r/s loop it replaced, its
-exact grouped sum against math.fsum, and the blocked grid apply against one
-whole-grid cosine matrix, all compared bitwise."""
+exact grouped sum against math.fsum, the blocked grid apply against one
+whole-grid cosine matrix, and the action marginal against the spectrum's
+f = 0 row, all compared bitwise."""
 
 import json
 import math
@@ -15,7 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qps import PhaseGrid, QParam, angle_distribution_from_wigner, qfactorial, wigner_grid
+from qps import (
+    PhaseGrid,
+    QParam,
+    action_distribution,
+    angle_distribution_from_wigner,
+    qfactorial,
+    wigner_grid,
+)
 from qps import wigner
 from qps.errors import ImaginaryResidueError
 from qps.rspoly import _rs_row
@@ -160,6 +168,34 @@ class TestMatchesScalarLoop:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestActionIsZeroFrequency:
+    @pytest.mark.parametrize("q", [1e-4, 0.004, 0.3, 0.5, 0.85, 0.97])
+    def test_matches_full_t_spectrum(self, q):
+        # the f = 0 row of the spectrum holds t = s - r for every pair (r, s)
+        # once the Gaussian truncation reaches |t| = n
+        qp = QParam.from_q(q)
+        for n in range(13):
+            tol = math.exp(-qp.mu * n * n)
+            assert _t_cutoff(qp.mu, tol) >= n
+            for m in range(-2, n + 3):
+                pref, freqs, amps = reference_spectrum(n, qp, tol, _sinc_at(m))
+                amp0 = float(amps[0]) if freqs[0] == 0 else 0.0
+                assert action_distribution(n, m, qp).hex() == (pref * amp0).hex(), (n, m)
+
+    @pytest.mark.parametrize(
+        "n,q,guard",
+        [(300, 0.9999, r"1/\(q;q\)_n overflows"), (800, 0.997, "a_r a_s overflows")],
+    )
+    def test_same_overflow_as_spectrum(self, n, q, guard):
+        qp = QParam.from_q(q)
+        for m in (-1, 0, n, n + 1):
+            with pytest.raises(OverflowError, match=guard) as spectrum:
+                _wigner_spectrum(n, qp, 1e-8, _sinc_at(m))
+            with pytest.raises(OverflowError) as action:
+                action_distribution(n, m, qp)
+            assert str(action.value) == str(spectrum.value)
 
 
 class TestGridApply:
