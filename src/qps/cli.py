@@ -132,7 +132,7 @@ def cli():
 
 def _abs_r_squared_row(k: int, grid: PhaseGrid, qp: QParam) -> list[float]:
     """|R_k(theta)|^2 over the grid; OverflowError naming |R_k|^2 past double range."""
-    moduli = [abs(rs_function(k, float(th), qp)) for th in grid.points]
+    moduli = [abs(rs_function(k, th, qp)) for th in grid.points]
     try:
         row = [r ** 2 for r in moduli]
         if all(map(math.isfinite, row)):
@@ -158,7 +158,7 @@ def poly(q, mu, n, grid_points, tol, fmt, out):
         lines.append("")
         lines.append("theta," + ",".join(f"R2_{k}" for k in range(cfg.n + 1)))
         for i, th in enumerate(grid.points):
-            lines.append(",".join([fnum(float(th))] + [fnum(r2[k][i]) for k in range(cfg.n + 1)]))
+            lines.append(",".join([fnum(th)] + [fnum(r2[k][i]) for k in range(cfg.n + 1)]))
         emit("\n".join(lines) + "\n", cfg)
     else:
         payload = {
@@ -169,7 +169,7 @@ def poly(q, mu, n, grid_points, tol, fmt, out):
             "grid_points": cfg.grid_points,
             "tol": cfg.tol,
             "coefficients": coeff_rows,
-            "theta": [float(t) for t in grid.points],
+            "theta": list(grid.points),
             "abs_r_squared": r2,
         }
         emit(json.dumps(payload, indent=2) + "\n", cfg)
@@ -182,11 +182,11 @@ def theta_cmd(q, mu, n, grid_points, tol, fmt, out):
     cfg = make_config(q, mu, n, grid_points, tol, fmt, out)
     with numeric_exit():
         grid = PhaseGrid.uniform(cfg.grid_points)
-        evals = [theta3(float(th), cfg.qp, cfg.tol) for th in grid.points]
+        evals = [theta3(th, cfg.qp, cfg.tol) for th in grid.points]
     if cfg.output_format == "csv":
         lines = ["theta,theta3"]
         for th, ev in zip(grid.points, evals):
-            lines.append(f"{fnum(float(th))},{fnum(ev.value)}")
+            lines.append(f"{fnum(th)},{fnum(ev.value)}")
         emit("\n".join(lines) + "\n", cfg)
     else:
         payload = {
@@ -197,7 +197,7 @@ def theta_cmd(q, mu, n, grid_points, tol, fmt, out):
             "tol": cfg.tol,
             "representation": evals[0].representation.value,
             "terms_used": [ev.terms_used for ev in evals],
-            "theta": [float(t) for t in grid.points],
+            "theta": list(grid.points),
             "values": [ev.value for ev in evals],
         }
         emit(json.dumps(payload, indent=2) + "\n", cfg)
@@ -229,7 +229,7 @@ def angle_dist(q, mu, n, grid_points, tol, fmt, out, mu_list):
     if cfg.output_format == "csv":
         lines = ["theta," + ",".join(label for label, _ in params)]
         for i, th in enumerate(grid.points):
-            lines.append(",".join([fnum(float(th))] + [fnum(float(t.values[i])) for t in tables]))
+            lines.append(",".join([fnum(th)] + [fnum(t.values[i]) for t in tables]))
         emit("\n".join(lines) + "\n", cfg)
     else:
         payload = {
@@ -237,14 +237,14 @@ def angle_dist(q, mu, n, grid_points, tol, fmt, out, mu_list):
             "n": cfg.n,
             "grid_points": cfg.grid_points,
             "tol": cfg.tol,
-            "theta": [float(t) for t in grid.points],
+            "theta": list(grid.points),
             "columns": [
                 {
                     "label": label,
                     "q": qp.q,
                     "mu": qp.mu,
                     "theta3_terms": theta3(0.0, qp, cfg.tol).terms_used,
-                    "values": [float(v) for v in table.values],
+                    "values": list(table.values),
                 }
                 for (label, qp), table in zip(params, tables)
             ],
@@ -272,7 +272,7 @@ def action_dist(q, mu, n, grid_points, tol, fmt, out, m_range):
     cfg = make_config(q, mu, n, grid_points, tol, fmt, out)
     lo, hi = _parse_m_range(m_range)
     with numeric_exit():
-        values = action_table(cfg.n, lo, hi, cfg.qp).values.tolist()
+        values = list(action_table(cfg.n, lo, hi, cfg.qp).values)
     if cfg.output_format == "csv":
         lines = ["m,lambda"]
         for m, v in zip(range(lo, hi + 1), values):
@@ -305,7 +305,7 @@ def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
     if cfg.output_format == "csv":
         lines = ["theta,wigner"]
         for th, v in zip(grid.points, values):
-            lines.append(f"{fnum(float(th))},{fnum(float(v))}")
+            lines.append(f"{fnum(th)},{fnum(float(v))}")
         emit("\n".join(lines) + "\n", cfg)
     else:
         payload = {
@@ -317,7 +317,7 @@ def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
             "grid_points": cfg.grid_points,
             "tol": cfg.tol,
             "t_cutoff": _t_cutoff(cfg.qp.mu, cfg.tol),
-            "theta": [float(t) for t in grid.points],
+            "theta": list(grid.points),
             "values": [float(v) for v in values],
         }
         emit(json.dumps(payload, indent=2) + "\n", cfg)
@@ -399,7 +399,7 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
 
     worst_norm = 0.0
     for nn in {0, 1, n_check}:
-        values = [angle_distribution(nn, float(th), qp, min(tol, 1e-12)) for th in grid.points]
+        values = [angle_distribution(nn, th, qp, min(tol, 1e-12)) for th in grid.points]
         worst_norm = max(worst_norm, abs(grid.weight * sum(values) - 1.0))
     checks.append({
         "name": "angle_normalization",

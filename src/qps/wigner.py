@@ -45,7 +45,11 @@ route holds its integrand in Python-integer fixed point, QUADRATURE_DPS digits
 below its largest term, and sums it exactly, for the same reason.  Its tables
 are built from integers, plus three constants from the standard library's
 decimal module, which it imports when it first builds a Gaussian-branch
-table.  Everything else is double precision.
+table.  Everything else is double precision.  numpy is loaded only by qps
+wigner and by the Wigner-spectrum functions (wigner_eval, wigner_grid,
+angle_distribution_from_wigner) and circular_variance, which import it when
+called; the grids, the marginal tables and every other qps command hold
+Python floats.
 """
 
 from __future__ import annotations
@@ -54,17 +58,19 @@ import cmath
 import enum
 import math
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ImaginaryResidueError, ResolutionWarning
 from .qseries import QParam, _qbinomial_row, qfactorial
 from .rspoly import _rs_row, rs_function
 from .theta import theta3
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: decimal digits the quadrature orthogonality route keeps below the largest
 #: term of its integrand; its fixed-point scale, (QUADRATURE_DPS + 1) log2(10)
@@ -90,15 +96,15 @@ class PhaseGrid:
     the weights sum to 1 and the grid covers [-pi, pi) exactly once.
     """
 
-    points: np.ndarray
+    points: tuple[float, ...]
     weight: float
 
     @classmethod
     def uniform(cls, k_points: int) -> "PhaseGrid":
         if k_points < 2:
             raise ValueError(f"need at least 2 grid points, got {k_points}")
-        k = np.arange(k_points)
-        return cls(-math.pi + 2.0 * math.pi * k / k_points, 1.0 / k_points)
+        points = tuple(-math.pi + 2.0 * math.pi * k / k_points for k in range(k_points))
+        return cls(points, 1.0 / k_points)
 
     @property
     def k_points(self) -> int:
@@ -127,8 +133,8 @@ class DistributionTable:
     kind: DistributionKind
     n: int
     qp: QParam
-    support: np.ndarray
-    values: np.ndarray
+    support: tuple
+    values: tuple[float, ...]
     metadata: dict
 
     def to_dict(self) -> dict:
@@ -137,8 +143,9 @@ class DistributionTable:
             "n": self.n,
             "q": self.qp.q,
             "mu": self.qp.mu,
+            # the action support holds the integers m; both kinds list floats
             "support": [float(x) for x in self.support],
-            "values": [float(v) for v in self.values],
+            "values": list(self.values),
             "metadata": dict(self.metadata),
         }
 
@@ -470,6 +477,8 @@ def _limb_counts(slots: np.ndarray, values: np.ndarray, n_slots: int) -> np.ndar
     partial sums are integers below 2^53, hence exact, for up to 2^19 values
     per call.
     """
+    import numpy as np
+
     mant, exp = np.frexp(values)
     shift = exp + (_LIMB_BASE_EXP - 53)
     cell = slots * _LIMBS + (shift >> 5)
@@ -547,6 +556,8 @@ def _wigner_spectrum(
     ImaginaryResidueError.  A non-finite addend, or a prefactor 1/(q;q)_n
     past double range, raises OverflowError.
     """
+    import numpy as np
+
     t_cut = _t_cutoff(qp.mu, tol)
     # kernel(c2) is ker_table[c2 + t_cut]
     ker_table = [kernel(c2) for c2 in range(-t_cut, 2 * n + t_cut + 1)]
@@ -608,6 +619,8 @@ def wigner_eval(n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12) ->
         raise ValueError(f"n must be >= 0, got {n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
+    import numpy as np
+
     pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
     return WignerValue(n, m, theta, pref * float(np.cos(theta * freqs) @ amps))
 
@@ -664,11 +677,14 @@ def wigner_grid(n: int, m: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12)
         raise ValueError(f"n must be >= 0, got {n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
+    import numpy as np
+
     pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
     rows = max(4, _SPECTRUM_BLOCK // len(freqs) // 4 * 4)
+    points = np.array(grid.points)
     series = np.empty(grid.k_points)
     for lo in range(0, grid.k_points, rows):
-        series[lo : lo + rows] = np.cos(np.outer(grid.points[lo : lo + rows], freqs)) @ amps
+        series[lo : lo + rows] = np.cos(np.outer(points[lo : lo + rows], freqs)) @ amps
     return pref * series
 
 
@@ -715,6 +731,8 @@ def angle_distribution(n: int, theta: float, qp: QParam, tol: float = 1e-12) -> 
 def _one_sided_partials(count: int) -> np.ndarray:
     """Partial sums P[j] = sum_{k<j} (-1)^k / ((k + 1/2) pi) (one tail of the
     half-odd sinc lattice; converges to 1/2)."""
+    import numpy as np
+
     k = np.arange(count)
     terms = np.where(k % 2 == 0, 1.0, -1.0) / ((k + 0.5) * math.pi)
     out = np.empty(count + 1)
@@ -753,23 +771,28 @@ def angle_distribution_from_wigner(
             partials[k_left] if k_left > 0 else 0.0
         )
 
+    import numpy as np
+
     pref, freqs, amps = _wigner_spectrum(n, qp, tol, window)
     return pref * float(np.cos(theta * freqs) @ amps)
 
 
-def circular_variance(values: np.ndarray, grid: PhaseGrid) -> float:
+def circular_variance(values: Sequence[float], grid: PhaseGrid) -> float:
     """Circular variance 1 - |<e^{i theta}>| of a density sampled on the grid;
     smaller means a narrower angle distribution."""
+    import numpy as np
+
+    values = np.asarray(values)
     total = grid.weight * float(np.sum(values))
-    resultant = grid.weight * complex(np.sum(values * np.exp(1j * grid.points)))
+    resultant = grid.weight * complex(np.sum(values * np.exp(1j * np.asarray(grid.points))))
     return 1.0 - abs(resultant) / total
 
 
 def angle_table(n: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12) -> DistributionTable:
     """Omega^(n) sampled over the grid as a DistributionTable; OverflowError
     if any sample is not finite."""
-    values = np.array([angle_distribution(n, th, qp, tol) for th in grid.points])
-    if not np.isfinite(values).all():
+    values = tuple(angle_distribution(n, th, qp, tol) for th in grid.points)
+    if not all(map(math.isfinite, values)):
         raise OverflowError(
             f"angle marginal Omega^(n) is not finite in double precision at n={n}, q={qp.q}"
         )
@@ -781,6 +804,6 @@ def action_table(n: int, m_lo: int, m_hi: int, qp: QParam) -> DistributionTable:
     """Lambda^(n)(m) for m in [m_lo, m_hi] as a DistributionTable."""
     if m_hi < m_lo:
         raise ValueError(f"empty m range [{m_lo}, {m_hi}]")
-    support = np.arange(m_lo, m_hi + 1)
-    values = np.array([action_distribution(n, int(m), qp) for m in support])
+    support = tuple(range(m_lo, m_hi + 1))
+    values = tuple(action_distribution(n, m, qp) for m in support)
     return DistributionTable(DistributionKind.ACTION, n, qp, support, values, {})

@@ -60,6 +60,49 @@ class TestPhaseGrid:
             PhaseGrid.uniform(1)
 
 
+def numpy_grid(k_points: int) -> np.ndarray:
+    """The grid as numpy builds it, the reference for the tuple of floats."""
+    return -math.pi + 2.0 * math.pi * np.arange(k_points) / k_points
+
+
+def hex_list(values) -> list[str]:
+    return [float.hex(v) for v in values]
+
+
+class TestPlainContainers:
+    """The grid and the marginal tables hold Python floats, bitwise equal to
+    the numpy-built grid and to the marginals evaluated on its points."""
+
+    @pytest.mark.parametrize("k_points", (2, 3, 8, 255, 1024, 4099, 65536))
+    def test_grid_points_match_numpy_build(self, k_points):
+        points = PhaseGrid.uniform(k_points).points
+        assert type(points) is tuple
+        assert all(type(th) is float for th in points)
+        assert hex_list(points) == hex_list(numpy_grid(k_points).tolist())
+
+    @pytest.mark.parametrize("n,q,k_points", [(0, 0.5, 64), (3, 0.05, 255), (7, 0.9, 256),
+                                              (12, 0.99, 128), (2, 0.9999, 64)])
+    def test_angle_table_matches_pointwise(self, n, q, k_points):
+        qp = QParam.from_q(q)
+        table = angle_table(n, qp, PhaseGrid.uniform(k_points))
+        assert type(table.support) is tuple and type(table.values) is tuple
+        assert all(type(v) is float for v in table.values)
+        want = [angle_distribution(n, th, qp) for th in numpy_grid(k_points)]
+        assert hex_list(table.values) == hex_list(want)
+        assert hex_list(table.support) == hex_list(numpy_grid(k_points).tolist())
+
+    @pytest.mark.parametrize("n,q,m_lo,m_hi", [(0, 0.5, -2, 3), (5, 0.3, -1, 8),
+                                               (30, 0.004, 27, 33), (5, 0.9999, 3, 9)])
+    def test_action_table_matches_pointwise(self, n, q, m_lo, m_hi):
+        qp = QParam.from_q(q)
+        table = action_table(n, m_lo, m_hi, qp)
+        assert table.support == tuple(range(m_lo, m_hi + 1))
+        assert type(table.values) is tuple
+        assert all(type(v) is float for v in table.values)
+        want = [action_distribution(n, int(m), qp) for m in np.arange(m_lo, m_hi + 1)]
+        assert hex_list(table.values) == hex_list(want)
+
+
 class TestSincKernel:
     def test_removable_singularity(self):
         assert sinc_kernel(3, 3.0) == 1.0
@@ -335,7 +378,7 @@ class TestAngleMarginal:
         for n in range(7):
             table = angle_table(n, qp, GRID)
             assert GRID.weight * float(np.sum(table.values)) == pytest.approx(1.0, abs=1e-10)
-            assert np.all(table.values > 0)
+            assert all(v > 0 for v in table.values)
 
     def test_evenness(self):
         qp = QParam.from_q(0.5)
