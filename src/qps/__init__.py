@@ -3,8 +3,8 @@
 Subpackages follow the pipeline: scalar q-series primitives (qseries),
 Rogers-Szego polynomials and functions (rspoly), the Jacobi theta_3 weight
 (theta), the ladder-operator algebra (qalgebra), and the Wigner function
-with its action/angle marginals (wigner).  The command-line front end lives
-in qps.cli.
+with its action/angle marginals (wigner).  The relation checks behind
+`qps verify` live in qps.verify and the command-line front end in qps.cli.
 """
 
 from .errors import ImaginaryResidueError, NonConvergenceError, ResolutionWarning

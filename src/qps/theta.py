@@ -70,17 +70,10 @@ def theta3_series(phi: float, qp: QParam, tol: float) -> ThetaEval:
         raise ValueError(f"tol must be positive, got {tol}")
     mu = qp.mu
     target = tol * (-math.expm1(-mu))
-    if target >= 1.0:
-        t_max = 1
-    else:
-        t_max = max(1, math.ceil(math.sqrt(math.log(1.0 / target) / mu)) - 2)
-        while math.exp(-mu * t_max * t_max) >= target:
-            t_max += 1
-            if t_max > THETA_MAX_TERMS:
-                raise NonConvergenceError(
-                    "theta3_series", THETA_MAX_TERMS,
-                    f"mu={mu:.3e} too small for the Fourier branch; use theta3_gaussian",
-                )
+    # a lower bound on T, walked up to the smallest index that meets the target
+    t_max = 1 if target >= 1.0 else max(1, math.ceil(math.sqrt(-math.log(target) / mu)) - 2)
+    while t_max <= THETA_MAX_TERMS and math.exp(-mu * t_max * t_max) >= target:
+        t_max += 1
     if t_max > THETA_MAX_TERMS:
         raise NonConvergenceError(
             "theta3_series", THETA_MAX_TERMS,

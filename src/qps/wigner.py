@@ -438,7 +438,7 @@ def orthogonality_quadrature(
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     k_points = grid.k_points
-    bandwidth = m + n + math.ceil(math.sqrt(math.log(1.0 / tol) / qp.mu))
+    bandwidth = m + n + _theta3_bandwidth(qp.mu, tol)
     if bandwidth > k_points // 2 - 1:
         warnings.warn(
             f"{k_points}-point grid cannot resolve estimated Fourier bandwidth "
@@ -460,9 +460,15 @@ def orthogonality_quadrature(
 # ---------------------------------------------------------------------------
 
 
+def _theta3_bandwidth(mu: float, tol: float) -> int:
+    """Fourier index t where theta_3's coefficient e^{-mu t^2} falls to tol;
+    ln(1/tol) is taken as -ln(tol), since 1/tol overflows for a subnormal tol."""
+    return math.ceil(math.sqrt(-math.log(tol) / mu))
+
+
 def _t_cutoff(mu: float, tol: float) -> int:
     """Symmetric truncation bound for the Gaussian-weighted t-sum."""
-    return math.ceil(math.sqrt(math.log(1.0 / tol) / mu)) + 1
+    return _theta3_bandwidth(mu, tol) + 1
 
 
 def _limb_counts(slots: np.ndarray, values: np.ndarray, n_slots: int) -> np.ndarray:

@@ -53,3 +53,12 @@ def test_bitwise_equal_to_rational_sum(q):
 def test_bitwise_equal_over_log_spaced_q(log10_q, m, n):
     q = 10.0**log10_q
     assert carlitz_double_sum(m, n, QParam.from_q(q)).hex() == carlitz_fraction(m, n, q).hex()
+
+
+@pytest.mark.parametrize("q", [1e-4, 0.004, 0.5, 0.998])
+def test_symmetric_bitwise(q):
+    # qps verify visits each unordered (m, n) pair once, which relies on this
+    qp = QParam.from_q(q)
+    for m in range(11):
+        for n in range(m + 1, 11):
+            assert carlitz_double_sum(m, n, qp).hex() == carlitz_double_sum(n, m, qp).hex(), (m, n)

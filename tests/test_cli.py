@@ -334,3 +334,27 @@ class TestOutputPath:
         header, rows = parse_csv_table(target.read_text())
         assert header == ["theta", "theta3"]
         assert rows.shape == (8, 2)
+
+
+class TestSubnormalTol:
+    """1/tol overflows for a subnormal --tol, so the theta_3 bandwidth reads -ln(tol)."""
+
+    @pytest.mark.parametrize("args", [
+        ("theta", "--mu", "3"),
+        ("angle-dist", "--n", "2", "--mu", "3"),
+        ("wigner", "--q", "0.5", "--n", "2", "--m", "2"),
+    ], ids=lambda args: args[0])
+    def test_tables_are_finite(self, args):
+        res = run(*args, "--tol", "1e-320")
+        assert res.exit_code == 0
+        _, rows = parse_csv_table(res.stdout)
+        assert rows.shape[0] == 256
+        assert np.isfinite(rows).all()
+
+    def test_verify_fails_only_the_triangle(self):
+        # the triangle's threshold is tol itself, which no double residual meets
+        res = runner.invoke(cli, ["verify", "--q", "0.5", "--n", "3", "--tol", "1e-320"])
+        assert res.exit_code == 1
+        assert "verification failed: orthogonality_triangle\n" in res.stderr
+        failing = [c["name"] for c in json.loads(res.stdout)["checks"] if not c["passed"]]
+        assert failing == ["orthogonality_triangle"]

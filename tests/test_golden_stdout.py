@@ -33,6 +33,12 @@ GOLDEN = [
      "1b48298668667427f12244ade4b61b88664c39924c72470538c58ee8186ae1e5"),
     (("verify", "--q", "0.5", "--n", "3"),
      "8854b27938bba0d98f0af0bf28c72a66eea5a35fd61f082e9901e78b1ac5478c"),
+    # n >= 8 builds both quadrature tables (n_top 8 and 16)
+    (("verify", "--q", "0.004", "--n", "10"),
+     "acc650d33e14df519ca190d1d13616a6e3adc3417b9c93dca3da3024e597c159"),
+    # Gaussian theta_3 branch, quadrature on an enlarged 512-point grid
+    (("verify", "--q", "0.998", "--n", "6"),
+     "cdc460df138d0c725f91a446880d2e3d3ee0ec870237223ea753a6906d4bf247"),
 ]
 
 
