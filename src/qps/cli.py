@@ -294,7 +294,7 @@ def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
     if cfg.output_format == "csv":
         lines = ["theta,wigner"]
         for th, v in zip(grid.points, values):
-            lines.append(f"{fnum(th)},{fnum(float(v))}")
+            lines.append(f"{fnum(th)},{fnum(v)}")
         emit("\n".join(lines) + "\n", cfg)
     else:
         payload = {
@@ -307,7 +307,7 @@ def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
             "tol": cfg.tol,
             "t_cutoff": _t_cutoff(cfg.qp.mu, cfg.tol),
             "theta": list(grid.points),
-            "values": [float(v) for v in values],
+            "values": list(values),
         }
         emit(json.dumps(payload, indent=2) + "\n", cfg)
 

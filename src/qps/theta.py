@@ -112,7 +112,8 @@ def theta3_gaussian(phi: float, qp: QParam, tol: float) -> ThetaEval:
             -((phi_r + two_pi * n) ** 2) / (4.0 * mu)
         )
         acc += pair
-        if pref * pair < 0.5 * tol and n >= 2:
+        # 0.5 * tol would round to 0 at the smallest subnormal tol
+        if 2.0 * (pref * pair) < tol and n >= 2:
             break
     return ThetaEval(phi, mu, pref * acc, ThetaRepresentation.GAUSSIAN_SUM, 2 * n + 1)
 

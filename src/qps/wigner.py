@@ -25,16 +25,14 @@ marginals, the n = 0 case, and all closed forms unchanged.
 
 Production code assembles the sum once, as a folded cosine spectrum in theta
 (_wigner_spectrum), and the theta-resolved quantities are views on it:
-wigner_eval evaluates it at one angle, wigner_grid applies its cosine series
-to blocks of grid rows (O(K + F) memory for K angles and F frequencies), and
+wigner_eval evaluates it at one angle, wigner_grid sums its cosine series at
+each grid point (O(K + F) memory for K angles and F frequencies), and
 angle_distribution_from_wigner swaps the sinc kernel for its summed action
 window.  action_distribution sums only the finite f = 0 slice, directly.
-The spectrum's addends are formed in numpy blocks, and each frequency slice
-is summed exactly: every addend's 53-bit mantissa is cut into 32-bit digits
-at its binary exponent, the digits are added per slice in integers, and the
-slice's integer total is rounded once, which gives the same bits as
-math.fsum of the slice.  The raw one-sided sums in wigner_one_sided are the
-independent loop that verification compares against.
+Each frequency slice of the spectrum is summed exactly by one math.fsum, and
+so are the rounded products amp_f cos(f theta) of each cosine series.  The
+raw one-sided sums in wigner_one_sided are the independent loop that
+verification compares against.
 
 Orthogonality of the polynomial family is exposed through three
 independent routes (Carlitz double sum, closed form, theta_3-weighted
@@ -45,11 +43,8 @@ route holds its integrand in Python-integer fixed point, QUADRATURE_DPS digits
 below its largest term, and sums it exactly, for the same reason.  Its tables
 are built from integers, plus three constants from the standard library's
 decimal module, which it imports when it first builds a Gaussian-branch
-table.  Everything else is double precision.  numpy is loaded only by qps
-wigner and by the Wigner-spectrum functions (wigner_eval, wigner_grid,
-angle_distribution_from_wigner) and circular_variance, which import it when
-called; the grids, the marginal tables and every other qps command hold
-Python floats.
+table.  Everything else is double precision, in Python floats; qps does not
+use numpy.
 """
 
 from __future__ import annotations
@@ -61,16 +56,13 @@ import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .errors import ImaginaryResidueError, ResolutionWarning
 from .qseries import QParam, _qbinomial_row, qfactorial
 from .rspoly import _rs_row, rs_function
 from .theta import theta3
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: decimal digits the quadrature orthogonality route keeps below the largest
 #: term of its integrand; its fixed-point scale, (QUADRATURE_DPS + 1) log2(10)
@@ -80,12 +72,6 @@ QUADRATURE_DPS = 35
 #: the theta_3 sums; the constants rounded onto it are built this many bits
 #: wider still, plus room for the error growth of their recurrences
 _QUAD_GUARD_BITS = 20
-#: the exact Wigner slice sum counts in 32-bit digits of 2^-1126, 52 bits below
-#: the smallest subnormal; 68 digits reach past the largest double, 2^1024
-_LIMB_BASE_EXP = 1126
-_LIMBS = 68
-#: addends per numpy block of the Wigner spectrum
-_SPECTRUM_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,57 +457,6 @@ def _t_cutoff(mu: float, tol: float) -> int:
     return _theta3_bandwidth(mu, tol) + 1
 
 
-def _limb_counts(slots: np.ndarray, values: np.ndarray, n_slots: int) -> np.ndarray:
-    """Exact per-slot sums of finite doubles, as base-2^32 digits of 2^-1126 units.
-
-    Returns int64 counts of shape (n_slots, _LIMBS) with
-    sum_k counts[i, k] 2^{32 k - 1126} equal to the exact sum of the values
-    whose slot is i.  frexp writes each value as a 53-bit integer mantissa
-    times 2^e with e >= -1126 (the smallest subnormal is 2^-1074); the
-    mantissa shifted by (e + 1126) mod 32 splits exactly, in float64, into
-    three 32-bit digits, which bincount adds per (slot, digit).  Its float64
-    partial sums are integers below 2^53, hence exact, for up to 2^19 values
-    per call.
-    """
-    import numpy as np
-
-    mant, exp = np.frexp(values)
-    shift = exp + (_LIMB_BASE_EXP - 53)
-    cell = slots * _LIMBS + (shift >> 5)
-    # x = top 2^64 + mid 2^32 + low, with 0 <= low, mid < 2^32 and |top| < 2^21
-    x = np.ldexp(mant, 53 + (shift & 31))
-    high = np.floor(x * 2.0**-32)
-    top = np.floor(high * 2.0**-32)
-    counts = np.bincount(
-        np.concatenate((cell, cell + 1, cell + 2)),
-        weights=np.concatenate((x - high * 2.0**32, high - top * 2.0**32, top)),
-        minlength=n_slots * _LIMBS,
-    )
-    return counts.astype(np.int64).reshape(n_slots, _LIMBS)
-
-
-def _round_limbs(counts: np.ndarray) -> list[float]:
-    """Each row of _limb_counts rounded once to the nearest double.
-
-    The occupied digits are folded into one Python integer, and int / int
-    rounds correctly (half to even), as math.fsum does, so the two agree
-    bitwise; an exact zero is +0.0, as in fsum.
-    """
-    sums = []
-    for row in counts.tolist():
-        lo, hi = 0, _LIMBS
-        while hi > lo and not row[hi - 1]:
-            hi -= 1
-        while lo < hi and not row[lo]:
-            lo += 1
-        total = 0
-        for digit in reversed(row[lo:hi]):
-            total = (total << 32) + digit
-        scale = _LIMB_BASE_EXP - 32 * lo
-        sums.append(total / (1 << scale) if scale >= 0 else float(total << -scale))
-    return sums
-
-
 def _wigner_weights(n: int, qp: QParam, ker_max: float) -> tuple[float, list[float]]:
     """1/(q;q)_n and the row a_r; OverflowError if the prefactor, or a_max^2 ker_max,
     which bounds every addend wt a_r a_s ker when |ker| <= ker_max, overflows."""
@@ -544,7 +479,7 @@ def _wigner_weights(n: int, qp: QParam, ker_max: float) -> tuple[float, list[flo
 
 def _wigner_spectrum(
     n: int, qp: QParam, tol: float, kernel: Callable[[int], float]
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, tuple[int, ...], tuple[float, ...]]:
     """The (t, r, s) sum regrouped as a folded cosine series in theta.
 
     Returns (pref, freqs, amps) with O(theta) = pref * sum_i amps[i] cos(freqs[i] theta)
@@ -552,60 +487,54 @@ def _wigner_spectrum(
     and the (r, s) terms carry the weight a_r a_s.  kernel(c2) is the weight of
     a term whose sinc centre is c2/2; it is averaged over the two shift
     placements c2 = r+s+t and r+s-t, and is called once per c2 in
-    [-t_cut, 2n + t_cut].  The addends wt * a_r a_s * ker are formed in numpy
-    blocks of whole t rows (or r rows, for large n), and each frequency slice
-    is summed exactly: _limb_counts adds the addends' mantissa digits in
-    integers and _round_limbs rounds each slice once, bitwise equal to
-    math.fsum of the slice.  The +f and -f slices hold the same addend
-    multiset, so the unfolded spectrum is even in f bitwise unless the kernel
-    structure is broken, and an odd part at or above tol raises
-    ImaginaryResidueError.  A non-finite addend, or a prefactor 1/(q;q)_n
-    past double range, raises OverflowError.
+    [-t_cut, 2n + t_cut].  Each frequency slice f = t + r - s is assembled on
+    its own and summed exactly by one math.fsum, so only one slice's addends
+    are held at a time: for each t the pairs lie on the diagonal r - s = f - t,
+    whose weights a_r a_{r-d} are built once per |d|.  The +f and -f slices
+    hold the same addend multiset, so the unfolded spectrum is even in f
+    bitwise unless the kernel structure is broken, and an odd part at or
+    above tol raises ImaginaryResidueError.  An addend bound past double
+    range, or a prefactor 1/(q;q)_n past it, raises OverflowError
+    (_wigner_weights).
     """
-    import numpy as np
-
     t_cut = _t_cutoff(qp.mu, tol)
     # kernel(c2) is ker_table[c2 + t_cut]
     ker_table = [kernel(c2) for c2 in range(-t_cut, 2 * n + t_cut + 1)]
     pref, a = _wigner_weights(n, qp, float(max(map(abs, ker_table))))
-    a = np.array(a)
-    ker_table = np.array(ker_table, dtype=float)
-    # a_r a_s == a_s a_r bitwise, so the (-t, s, r) partner addend is identical
-    weight = a[:, None] * a
-    r = np.arange(n + 1)[:, None]
-    r_plus_s = r + r.T
-    # slot of frequency f = t + r - s in [-(n + t_cut), n + t_cut]
-    slot_of_r_minus_s = r - r.T + (n + t_cut)
-    n_slots = 2 * (n + t_cut) + 1
-    counts = np.zeros((n_slots, _LIMBS), dtype=np.int64)
-    occupied = np.zeros(n_slots, dtype=bool)
-    rows_per_block = max(1, _SPECTRUM_BLOCK // (n + 1))
-    t_per_block = max(1, rows_per_block // (n + 1))
-    j = np.arange(2 * n + 1)
-    t_all = np.arange(-t_cut, t_cut + 1)
-    wt_all = np.array([math.exp(-qp.mu * t * t) for t in t_all.tolist()])
-    for t_lo in range(0, 2 * t_cut + 1, t_per_block):
-        t = t_all[t_lo : t_lo + t_per_block, None]
-        wt = wt_all[t_lo : t_lo + t_per_block, None, None]
-        ker_by_sum = 0.5 * (ker_table[t + j + t_cut] + ker_table[j - t + t_cut])
-        for r_lo in range(0, n + 1, rows_per_block):
-            rows = slice(r_lo, r_lo + rows_per_block)
-            ker = ker_by_sum[:, r_plus_s[rows]]
-            keep = ker != 0.0
-            slots = (t[:, :, None] + slot_of_r_minus_s[rows])[keep]
-            occupied[slots] = True
-            counts += _limb_counts(slots, ((wt * weight[rows]) * ker)[keep], n_slots)
-    slot_ids = np.flatnonzero(occupied)
-    amp = dict(zip((slot_ids - (n + t_cut)).tolist(), _round_limbs(counts[slot_ids])))
+    # b_i = a_{n-i}: pair i of diagonal d is (r, s) = (n-i-d, n-i) or its
+    # mirror, both of weight b_{i+d} b_i (a_r a_s == a_s a_r bitwise), at
+    # r + s = 2n - 2i - d.  Walking i up visits the large r + s first, where
+    # |a_r| peaks at small q, so math.fsum's running partials stay few (a
+    # fifth of the summing time at n = 153)
+    b = a[::-1]
+    diags = [list(map(mul, b[d:], b)) for d in range(n + 1)]
+    wts, kers = [], []
+    for t in range(-t_cut, t_cut + 1):
+        wts.append(math.exp(-qp.mu * t * t))
+        lo, hi = t_cut + t, t_cut - t
+        row = [0.5 * (x + y) for x, y in zip(ker_table[lo : lo + 2 * n + 1], ker_table[hi:])]
+        # after the reversal the kernel of pair i of diagonal d is row[2i + d],
+        # that is kers[.][d & 1][d // 2 + i]
+        row.reverse()
+        kers.append((row[0::2], row[1::2]))
+    amp = {}
+    for f in range(-(n + t_cut), n + t_cut + 1):
+        parts = []
+        for t in range(max(-t_cut, f - n), min(t_cut, f + n) + 1):
+            d = abs(f - t)
+            wt = wts[t + t_cut]
+            ker = kers[t + t_cut][d & 1][d >> 1 :]
+            parts += [(wt * w) * k for w, k in zip(diags[d], ker) if k != 0.0]
+        if parts:
+            amp[f] = math.fsum(parts)
     residue = pref * max((abs(amp[f] - amp.get(-f, 0.0)) for f in amp), default=0.0)
     if residue >= tol:
         raise ImaginaryResidueError("wigner_spectrum", residue, tol)
     folded: dict[int, float] = {}
-    for f, a in amp.items():
-        folded[abs(f)] = folded.get(abs(f), 0.0) + a
-    freqs = np.array(sorted(folded), dtype=int)
-    amps = np.array([folded[f] for f in sorted(folded)], dtype=float)
-    return pref, freqs, amps
+    for f, x in amp.items():
+        folded[abs(f)] = folded.get(abs(f), 0.0) + x
+    freqs = tuple(sorted(folded))
+    return pref, freqs, tuple(folded[f] for f in freqs)
 
 
 def _sinc_at(m: int) -> Callable[[int], float]:
@@ -625,10 +554,8 @@ def wigner_eval(n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12) ->
         raise ValueError(f"n must be >= 0, got {n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    import numpy as np
-
     pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
-    return WignerValue(n, m, theta, pref * float(np.cos(theta * freqs) @ amps))
+    return WignerValue(n, m, theta, pref * _cosine_series(freqs, amps, theta))
 
 
 def wigner_one_sided(
@@ -669,29 +596,27 @@ def wigner_one_sided(
     return pref * total
 
 
-def wigner_grid(n: int, m: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12) -> np.ndarray:
-    """O_n(m, theta_k) over a full phase grid: one spectrum pass, then the
-    F-term cosine series applied to blocks of grid rows, instead of K
-    independent triple sums.
+def _cosine_series(freqs: Sequence[int], amps: Sequence[float], theta: float) -> float:
+    """sum_i amps[i] cos(freqs[i] theta), each product rounded once and summed exactly."""
+    return math.fsum(map(mul, amps, map(math.cos, map(mul, repeat(theta), freqs))))
 
-    A block holds about _SPECTRUM_BLOCK cosines, so memory is O(K + F) rather
-    than O(K F).  Its row count is a multiple of 4: OpenBLAS's dgemv takes
-    rows four at a time, so the blocks give the same bits as one K x F apply
-    on one thread, whatever the thread count.
+
+def wigner_grid(
+    n: int, m: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12
+) -> tuple[float, ...]:
+    """O_n(m, theta_k) over a full phase grid: one spectrum pass, then the
+    F-term cosine series summed at each grid point, instead of K independent
+    triple sums.
+
+    Each sample is pref * math.fsum(amp_f cos(f theta_k)) at the grid's own
+    float points, the same expression as wigner_eval, so memory is O(K + F).
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    import numpy as np
-
     pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
-    rows = max(4, _SPECTRUM_BLOCK // len(freqs) // 4 * 4)
-    points = np.array(grid.points)
-    series = np.empty(grid.k_points)
-    for lo in range(0, grid.k_points, rows):
-        series[lo : lo + rows] = np.cos(np.outer(points[lo : lo + rows], freqs)) @ amps
-    return pref * series
+    return tuple(pref * _cosine_series(freqs, amps, theta) for theta in grid.points)
 
 
 def action_distribution(n: int, m: int, qp: QParam) -> float:
@@ -734,17 +659,11 @@ def angle_distribution(n: int, theta: float, qp: QParam, tol: float = 1e-12) -> 
     return weight * (r.real * r.real + r.imag * r.imag)
 
 
-def _one_sided_partials(count: int) -> np.ndarray:
+def _one_sided_partials(count: int) -> list[float]:
     """Partial sums P[j] = sum_{k<j} (-1)^k / ((k + 1/2) pi) (one tail of the
     half-odd sinc lattice; converges to 1/2)."""
-    import numpy as np
-
-    k = np.arange(count)
-    terms = np.where(k % 2 == 0, 1.0, -1.0) / ((k + 0.5) * math.pi)
-    out = np.empty(count + 1)
-    out[0] = 0.0
-    np.cumsum(terms, out=out[1:])
-    return out
+    terms = ((-1.0 if k & 1 else 1.0) / ((k + 0.5) * math.pi) for k in range(count))
+    return list(accumulate(terms, initial=0.0))
 
 
 def angle_distribution_from_wigner(
@@ -777,20 +696,18 @@ def angle_distribution_from_wigner(
             partials[k_left] if k_left > 0 else 0.0
         )
 
-    import numpy as np
-
     pref, freqs, amps = _wigner_spectrum(n, qp, tol, window)
-    return pref * float(np.cos(theta * freqs) @ amps)
+    return pref * _cosine_series(freqs, amps, theta)
 
 
 def circular_variance(values: Sequence[float], grid: PhaseGrid) -> float:
     """Circular variance 1 - |<e^{i theta}>| of a density sampled on the grid;
     smaller means a narrower angle distribution."""
-    import numpy as np
-
-    values = np.asarray(values)
-    total = grid.weight * float(np.sum(values))
-    resultant = grid.weight * complex(np.sum(values * np.exp(1j * np.asarray(grid.points))))
+    total = grid.weight * math.fsum(values)
+    resultant = grid.weight * complex(
+        math.fsum(map(mul, values, map(math.cos, grid.points))),
+        math.fsum(map(mul, values, map(math.sin, grid.points))),
+    )
     return 1.0 - abs(resultant) / total
 
 

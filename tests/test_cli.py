@@ -351,10 +351,30 @@ class TestSubnormalTol:
         assert rows.shape[0] == 256
         assert np.isfinite(rows).all()
 
-    def test_verify_fails_only_the_triangle(self):
+    @pytest.mark.parametrize("args", [
+        ("theta", "--mu", "0.5"),
+        ("angle-dist", "--q", "0.9", "--n", "2"),
+    ], ids=lambda args: args[0])
+    def test_gaussian_branch_stops_at_smallest_tol(self, args):
+        # tol / 2 rounds to 0 at the smallest subnormal, so the theta_3 Gaussian
+        # sum stops on 2 * term < tol rather than running to its term cap
+        res = run(*args, "--tol", "5e-324")
+        assert res.exit_code == 0
+        _, rows = parse_csv_table(res.stdout)
+        assert rows.shape[0] == 256
+        assert np.isfinite(rows).all()
+
+    @staticmethod
+    def assert_only_the_triangle_fails(tol):
         # the triangle's threshold is tol itself, which no double residual meets
-        res = runner.invoke(cli, ["verify", "--q", "0.5", "--n", "3", "--tol", "1e-320"])
+        res = runner.invoke(cli, ["verify", "--q", "0.5", "--n", "3", "--tol", tol])
         assert res.exit_code == 1
         assert "verification failed: orthogonality_triangle\n" in res.stderr
         failing = [c["name"] for c in json.loads(res.stdout)["checks"] if not c["passed"]]
         assert failing == ["orthogonality_triangle"]
+
+    def test_verify_fails_only_the_triangle(self):
+        self.assert_only_the_triangle_fails("1e-320")
+
+    def test_verify_at_smallest_tol_fails_only_the_triangle(self):
+        self.assert_only_the_triangle_fails("5e-324")

@@ -27,10 +27,13 @@ GOLDEN = [
     (("action-dist", "--q", "0.5", "--n", "2", "--m-range", "-1:4"),
      "ff820aa87c012e7b0a55c2d2cdf9c1821ffc5bfaf5bb262e9a519551e1a43ca5"),
     (("wigner", "--q", "0.5", "--n", "2", "--m", "2", "--grid-points", "16"),
-     "d5e31c142ade46452aa37541d886d2b59eefa1106b2094c7c8b44ec762ef601b"),
+     "097c746e6ab7c925edb299ae8d218847b58e3dc00910a03f4704acb7a9fbf732"),
     (("wigner", "--q", "0.5", "--n", "2", "--m", "2", "--grid-points", "16",
       "--format", "json"),
-     "1b48298668667427f12244ade4b61b88664c39924c72470538c58ee8186ae1e5"),
+     "ac567782084987484017bd1e974629662a85ffd0968f8b56151a90dbd0744e89"),
+    # 81 frequencies up to 155, amplitudes from 1e-1 down to 1e-99
+    (("wigner", "--q", "0.0811", "--n", "150", "--m", "152", "--grid-points", "4096"),
+     "bdba30a5386b63cb7aa252cf33dae824e38313bcd0cf57809e1e317e8d85e5b4"),
     (("verify", "--q", "0.5", "--n", "3"),
      "8854b27938bba0d98f0af0bf28c72a66eea5a35fd61f082e9901e78b1ac5478c"),
     # n >= 8 builds both quadrature tables (n_top 8 and 16)

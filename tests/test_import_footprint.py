@@ -1,20 +1,23 @@
-"""No command loads mpmath or fractions, only `qps verify` loads decimal, and
-only `qps wigner` loads numpy.
+"""No command loads mpmath, fractions or numpy, and only `qps verify` loads
+decimal.
 
 Extended-precision modules and numpy cost start-up time and memory in every
 process that imports them.  The exact oracles run on Python integers; only
 the quadrature oracle of `qps verify` takes three constants from decimal, and
-mpmath is a test-only dependency.  numpy is imported by the functions that
-vectorize the Wigner spectrum, which only `qps wigner` calls.  These tests run
-the CLI in fresh interpreters, so the modules loaded by the test session
-itself cannot hide an eager import.
+mpmath and numpy are test-only dependencies.  These tests run the CLI in
+fresh interpreters, so the modules loaded by the test session itself cannot
+hide an eager import, and run the Wigner paths once with numpy made
+unimportable.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from qps import QParam
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,18 +58,19 @@ COMMANDS = [
 WIGNER = ["wigner", "--q", "0.5", "--n", "1", "--m", "1", "--grid-points", "16"]
 
 
-def _run_child(commands) -> dict:
+def _run_child(child: str, arg: str) -> dict:
+    """Runs the child script with argv[1] = arg and parses its last line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        [sys.executable, "-c", child, arg],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
 
 
 def test_only_verify_loads_the_oracle_modules():
-    result = _run_child(COMMANDS)
+    result = _run_child(CHILD, json.dumps(COMMANDS))
     loaded = result["loaded"]
     verify_loaded = loaded.pop("verify")
     assert list(loaded) == [
@@ -79,6 +83,54 @@ def test_only_verify_loads_the_oracle_modules():
     assert json.loads(result["outputs"]["verify"])["passed"] is True
 
 
-def test_only_wigner_loads_numpy():
-    loaded = _run_child([WIGNER])["loaded"]
-    assert loaded == {"import qps": [], "import qps.cli": [], "wigner": ["numpy"]}
+def test_no_command_loads_numpy():
+    loaded = _run_child(CHILD, json.dumps([*COMMANDS, WIGNER]))["loaded"]
+    assert len(loaded) == len(COMMANDS) + 3
+    for label, modules in loaded.items():
+        assert "numpy" not in modules, label
+
+
+#: with numpy unimportable, runs `qps wigner` as csv and json, the Wigner
+#: functions of the library and the angle-width script at argv[1], and prints
+#: a summary
+WITHOUT_NUMPY = r"""
+import contextlib, io, json, runpy, sys
+
+script = sys.argv[1]
+sys.modules["numpy"] = None
+import qps
+from qps.cli import cli
+
+report = {}
+for fmt in ("csv", "json"):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["wigner", "--q", "0.5", "--n", "2", "--m", "2", "--grid-points", "16",
+                  "--format", fmt], prog_name="qps", standalone_mode=False)
+    report[fmt] = out.getvalue()
+qp = qps.QParam.from_q(0.5)
+grid = qps.PhaseGrid.uniform(64)
+report["wigner_eval"] = qps.wigner_eval(2, 2, 0.3, qp).value
+report["from_wigner"] = qps.angle_distribution_from_wigner(2, 0.3, qp, m_cut=40)
+report["angle"] = qps.angle_distribution(2, 0.3, qp)
+report["variance"] = qps.circular_variance(qps.angle_table(0, qp, grid).values, grid)
+out = io.StringIO()
+sys.argv = [script, "--n", "0", "--mu", "0.5", "--grid-points", "64"]
+with contextlib.redirect_stdout(out):
+    runpy.run_path(script, run_name="__main__")
+report["script"] = out.getvalue()
+print(json.dumps(report))
+"""
+
+
+def test_wigner_paths_run_without_numpy():
+    report = _run_child(WITHOUT_NUMPY, str(ROOT / "scripts" / "angle_width_study.py"))
+    rows = report["csv"].splitlines()
+    assert rows[0] == "theta,wigner" and len(rows) == 17
+    assert len(json.loads(report["json"])["values"]) == 16
+    assert math.isfinite(report["wigner_eval"])
+    assert abs(report["from_wigner"] - report["angle"]) < 1e-3
+    # for n = 0 the circular variance of theta_3 is exactly 1 - e^{-mu}
+    mu = QParam.from_q(0.5).mu
+    assert abs(report["variance"] - (1.0 - math.exp(-mu))) < 1e-12
+    assert "mu=0.5    V=0.393469" in report["script"]

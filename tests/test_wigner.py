@@ -251,7 +251,7 @@ class TestWignerEval:
         # quasiprobability: the off-diagonal n = 1, m = 0 slice goes negative
         qp = QParam.from_q(0.5)
         vals = wigner_grid(1, 0, qp, GRID, 1e-12)
-        assert vals.min() < -0.5
+        assert min(vals) < -0.5
 
     def test_input_validation(self):
         qp = QParam.from_q(0.5)

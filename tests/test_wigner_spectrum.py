@@ -1,20 +1,13 @@
-"""The numpy Wigner spectrum against the scalar t/r/s loop it replaced, its
-exact grouped sum against math.fsum, the blocked grid apply against one
-whole-grid cosine matrix, and the action marginal against the spectrum's
-f = 0 row, all compared bitwise."""
+"""The Wigner spectrum against the scalar t/r/s loop it replaced, compared
+bitwise; the grid's cosine apply against a 40-digit mpmath evaluation; and
+the action marginal against the spectrum's f = 0 row, bitwise."""
 
-import json
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from mpmath import mp
 
 from qps import (
     PhaseGrid,
@@ -27,48 +20,12 @@ from qps import (
 from qps import wigner
 from qps.errors import ImaginaryResidueError
 from qps.rspoly import _rs_row
-from qps.wigner import (
-    _SPECTRUM_BLOCK,
-    _limb_counts,
-    _round_limbs,
-    _sinc_at,
-    _t_cutoff,
-    _wigner_spectrum,
-)
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-#: pref * (cos(outer(theta, f)) @ amps) over each whole grid, one hex line per
-#: (n, q, m, K) case in argv[1]
-ONE_SHOT_APPLY = """
-import json, sys
-import numpy as np
-from qps import PhaseGrid, QParam
-from qps.wigner import _sinc_at, _wigner_spectrum
-for n, q, m, k in json.loads(sys.argv[1]):
-    pref, freqs, amps = _wigner_spectrum(n, QParam.from_q(q), 1e-12, _sinc_at(m))
-    points = PhaseGrid.uniform(k).points
-    print((pref * (np.cos(np.outer(points, freqs)) @ amps)).tobytes().hex())
-"""
-
-
-def one_shot_apply(cases):
-    """The K x F matrix apply that wigner_grid blocks, run in a fresh
-    interpreter on one OpenBLAS thread: a threaded dgemv splits the K rows
-    between threads at points that need not be multiples of 4, so its last
-    bits depend on the thread count."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", ONE_SHOT_APPLY, json.dumps(cases)],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    return proc.stdout.split()
+from qps.wigner import _sinc_at, _t_cutoff, _wigner_spectrum
 
 
 def reference_spectrum(n, qp, tol, kernel):
     """The scalar (t, r, s) loop with a per-slice math.fsum, kept as the oracle
-    that the numpy assembly must match byte for byte."""
+    that the slice-by-slice assembly must match byte for byte."""
     t_cut = _t_cutoff(qp.mu, tol)
     a = _rs_row(n, qp)
     pref = 1.0 / qfactorial(n, qp)
@@ -90,23 +47,39 @@ def reference_spectrum(n, qp, tol, kernel):
     folded = {}
     for f, x in amp.items():
         folded[abs(f)] = folded.get(abs(f), 0.0) + x
-    freqs = np.array(sorted(folded), dtype=int)
-    amps = np.array([folded[f] for f in sorted(folded)], dtype=float)
-    return pref, freqs, amps
+    freqs = tuple(sorted(folded))
+    return pref, freqs, tuple(folded[f] for f in freqs)
 
 
 def assert_same_bytes(got, want):
     (pref, freqs, amps), (pref_ref, freqs_ref, amps_ref) = got, want
     assert pref.hex() == pref_ref.hex()
-    assert freqs.tolist() == freqs_ref.tolist()
-    assert amps.tobytes() == amps_ref.tobytes()
+    assert freqs == freqs_ref
+    assert all(type(f) is int for f in freqs)
+    assert [a.hex() for a in amps] == [a.hex() for a in amps_ref]
 
 
-def grouped_fsum_matches(groups):
-    slots = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
-    values = np.array([x for g in groups for x in g], dtype=float)
-    sums = _round_limbs(_limb_counts(slots, values, len(groups)))
-    return [s.hex() for s in sums] == [math.fsum(g).hex() for g in groups]
+def mpmath_series(pref, freqs, amps, theta):
+    """pref * sum_f amp_f cos(f theta) at the float point theta, to ~40 digits.
+
+    cos(theta) comes from mpmath at 40 digits and is rounded onto 2^-160; the
+    series then runs as Clenshaw's recurrence in integers, on the amplitudes
+    scaled exactly by 2^1074, so the only errors are the ~1e-40 of cos(theta),
+    grown at most f_max^2-fold, and 2^-1074 per step."""
+    frac = 160
+    coeffs = [0] * (max(freqs) + 1)
+    for f, a in zip(freqs, amps):
+        num, den = a.as_integer_ratio()
+        coeffs[f] = num << 1074 - (den.bit_length() - 1)
+    with mp.workdps(40):
+        x = int(mp.ldexp(mp.cos(theta), frac))
+    # b_k = c_k + 2 x b_{k+1} - b_{k+2}; the sum is c_0 + x b_1 - b_2
+    b1 = b2 = 0
+    for c in reversed(coeffs[1:]):
+        b1, b2 = c + ((x * b1) >> (frac - 1)) - b2, b1
+    total = coeffs[0] + ((x * b1) >> frac) - b2
+    with mp.workdps(40):
+        return mp.mpf(pref) * mp.ldexp(total, -1074)
 
 
 class TestMatchesScalarLoop:
@@ -119,9 +92,9 @@ class TestMatchesScalarLoop:
             (5, 0.83, 4, 1e-12),
             (0, 0.5, 0, 1e-12),
             (0, 0.5, 1, 1e-8),
-            # a_r underflows to +-0 for most r; blocks of r rows
+            # a_r underflows to +-0 for most r
             (300, 1e-4, 300, 1e-8),
-            # many t: blocks of several whole t rows
+            # many t
             (5, 0.9999, 5, 1e-8),
             (32, 0.97, 32, 1e-12),
         ],
@@ -199,16 +172,24 @@ class TestActionIsZeroFrequency:
 
 
 class TestGridApply:
-    # F = 81 and 71 frequencies: blocks of 404 and 460 rows
+    # F = 81 and 71 frequencies, up to f = 155 and 75
     @pytest.mark.parametrize("n,q,m", [(150, 0.0811, 152), (32, 0.97, 32)])
-    def test_matches_one_shot_apply(self, n, q, m):
+    def test_matches_mpmath(self, n, q, m):
+        # each sample rounds f theta (|f theta| <= pi f), cos and the product
+        # amp_f cos once, before an exact math.fsum and the product with pref
         qp = QParam.from_q(q)
-        _, freqs, _ = _wigner_spectrum(n, qp, 1e-12, _sinc_at(m))
-        rows = _SPECTRUM_BLOCK // len(freqs) // 4 * 4
-        ks = [8, 257, 4096, 4099, rows + 1]
-        want = one_shot_apply([(n, q, m, k) for k in ks])
-        got = [wigner_grid(n, m, qp, PhaseGrid.uniform(k)).tobytes().hex() for k in ks]
-        assert got == want
+        pref, freqs, amps = _wigner_spectrum(n, qp, 1e-12, _sinc_at(m))
+        bound = sys.float_info.epsilon * pref * math.fsum(
+            abs(a) * (2.0 + math.pi * f) for f, a in zip(freqs, amps)
+        )
+        for k in (8, 257, 4096, 4099):
+            grid = PhaseGrid.uniform(k)
+            got = wigner_grid(n, m, qp, grid)
+            assert type(got) is tuple and len(got) == k
+            for theta, value in zip(grid.points, got):
+                with mp.workdps(40):
+                    error = abs(value - mpmath_series(pref, freqs, amps, theta))
+                assert error <= bound, (k, theta)
 
     def test_memory_bound(self):
         # the whole 16384 x 81 cosine matrix alone is 10 MiB
@@ -222,42 +203,3 @@ class TestGridApply:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-
-
-# every finite magnitude from subnormals up to 1e300, plus the edge values
-finite = st.floats(min_value=-1e300, max_value=1e300) | st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e300, 1.0]
-)
-
-
-class TestExactGroupedSum:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.lists(finite, min_size=1, max_size=12), min_size=1, max_size=6))
-    def test_matches_fsum(self, groups):
-        assert grouped_fsum_matches(groups)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.lists(finite, min_size=1, max_size=12), min_size=1, max_size=6),
-           st.randoms(use_true_random=False))
-    def test_exact_cancellation(self, groups, rnd):
-        # each group gains the negation of its own values: the exact sum is 0
-        cancelled = []
-        for g in groups:
-            both = g + [-x for x in g]
-            rnd.shuffle(both)
-            cancelled.append(both)
-        assert grouped_fsum_matches(cancelled)
-
-    def test_zero_groups(self):
-        assert grouped_fsum_matches([[0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0, 5e-324, -5e-324]])
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 5000))
-    def test_many_addends(self, seed, count):
-        rng = np.random.default_rng(seed)
-        # log-uniform magnitudes over the whole range, random signs, and
-        # a run of near-equal values that cancel down to the last bits
-        wide = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-320, 300, count)
-        close = rng.choice([-1.0, 1.0], count) * (1.0 + rng.uniform(0, 1e-12, count))
-        narrow = rng.uniform(-1.0, 1.0, count) * 2.0 ** rng.integers(-60, 60, count)
-        assert grouped_fsum_matches([wide.tolist(), close.tolist(), narrow.tolist(), [3.5]])
