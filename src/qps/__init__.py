@@ -17,12 +17,9 @@ from .qalgebra import (
 )
 from .qseries import (
     QParam,
-    finite_cauchy_coeffs,
     qbinomial,
     qfactorial,
     qnumber,
-    qpochhammer,
-    qpochhammer_inf,
 )
 from .rspoly import (
     Polynomial,
@@ -41,7 +38,6 @@ from .theta import (
     theta3_series,
 )
 from .wigner import (
-    DistributionKind,
     DistributionTable,
     PhaseGrid,
     WignerValue,
@@ -64,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraReport",
-    "DistributionKind",
     "DistributionTable",
     "ImaginaryResidueError",
     "MU_SWITCH",
@@ -86,14 +81,11 @@ __all__ = [
     "carlitz_closed_form",
     "carlitz_double_sum",
     "circular_variance",
-    "finite_cauchy_coeffs",
     "jackson_derivative",
     "orthogonality_quadrature",
     "qbinomial",
     "qfactorial",
     "qnumber",
-    "qpochhammer",
-    "qpochhammer_inf",
     "rs_basis_expand",
     "rs_coefficients",
     "rs_eval_direct",

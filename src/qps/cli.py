@@ -24,7 +24,6 @@ from .verify import build_verify_report
 from .wigner import PhaseGrid, _t_cutoff, action_table, angle_table, wigner_grid
 
 EXIT_VERIFY_FAILED = 1
-EXIT_USAGE = 2
 EXIT_NONCONVERGENT = 3
 
 

@@ -5,20 +5,22 @@ A+ = (1 + y) - (1 - q) y D_q, which act as ladders
 
     A  H_n = [n]_q H_{n-1},      A+ H_n = H_{n+1},      N H_n = n H_n.
 
-On these actions the defining relations
+On these actions the two relations that involve q,
 
-    [A, A+] = q^N,   [N, A+] = A+,   [N, A] = -A,
-    A A+ - q A+ A = 1,   A+ A = [N]_q
+    [A, A+] = q^N,   A A+ - q A+ A = 1,
 
 reduce, basis element by basis element, to identities on the q-numbers:
 
-    [k+1]_q - [k]_q = q^k,          (k+1) - k = 1,
-    (k-1)[k]_q - k[k]_q = -[k]_q,   [k+1]_q - q[k]_q = 1,   [k]_q = [k]_q.
+    [k+1]_q - [k]_q = q^k,   [k+1]_q - q[k]_q = 1.
 
-verify_algebra checks them for k = 0 .. n_max-1 of the space spanned by
-H_0 .. H_nmax.  The top index n_max is excluded because A+ maps H_nmax
-outside that space, so no relation that applies A+ first can be evaluated
-on H_nmax there.
+The other defining relations, [N, A+] = A+, [N, A] = -A and A+ A = [N]_q,
+reduce to 1 = 1, -[k]_q = -[k]_q and [k]_q = [k]_q once the ladder actions
+are given, so they hold for any value of [k]_q and are not checked.
+
+verify_algebra checks the two q identities for k = 0 .. n_max-1 of the
+space spanned by H_0 .. H_nmax.  The top index n_max is excluded because A+
+maps H_nmax outside that space, so no relation that applies A+ first can be
+evaluated on H_nmax there.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ def rs_basis_expand(p: Polynomial, qp: QParam) -> list[complex]:
 
 @dataclass(frozen=True)
 class AlgebraReport:
-    """Residuals of the defining relations on H_0 .. H_{n_max-1}."""
+    """Scaled residuals of the two q identities on H_0 .. H_{n_max-1}."""
 
     n_max: int
     q: float
@@ -79,39 +81,23 @@ class AlgebraReport:
     #: approaches 0 as q -> 1, where the undeformed oscillator is recovered
     classical_commutator_deviation: float = field(default=float("nan"))
 
-    def to_dict(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "q": self.q,
-            "tol": self.tol,
-            "residuals": dict(self.residuals),
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "classical_commutator_deviation": self.classical_commutator_deviation,
-        }
-
 
 def verify_algebra(n_max: int, qp: QParam, tol: float) -> AlgebraReport:
-    """Check the defining relations on H_0 .. H_{n_max-1}.
+    """Check the two q identities (see the module docstring) on H_0 .. H_{n_max-1}.
 
-    Each residual is the largest deviation of one [k]_q identity (see the
-    module docstring) over k < n_max, in one O(n_max) pass that keeps only
-    [k]_q and [k+1]_q.  Every deviation is computed in the float form of
-    the single nonzero entry it takes in the truncated-matrix realization,
-    so the residuals are bitwise those of the dense matrix products (the
+    Each residual is the largest deviation of one identity over k < n_max,
+    divided by [k+1]_q >= 1, the largest q-number in it, in one O(n_max)
+    pass that keeps only [k]_q and [k+1]_q.  Every deviation is computed in
+    the float form of the single nonzero entry it takes in the
+    truncated-matrix realization, so the residuals are bitwise those of the
+    dense matrix products with each row divided by the same [k+1]_q (the
     reference that tests/test_qalgebra.py keeps).
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    names = (
-        "comm_a_adag_minus_qN",
-        "comm_N_adag_minus_adag",
-        "comm_N_a_plus_a",
-        "aadag_minus_q_adaga_minus_one",
-        "adaga_minus_qnumber_N",
-    )
+    names = ("comm_a_adag_minus_qN", "aadag_minus_q_adaga_minus_one")
     worst = dict.fromkeys(names, 0.0)
     classical = 0.0
     qk1 = qnumber(0, qp)
@@ -119,13 +105,10 @@ def verify_algebra(n_max: int, qp: QParam, tol: float) -> AlgebraReport:
         qk, qk1 = qk1, qnumber(k + 1, qp)
         deviations = (
             (qk1 - qk) - qp.qpow(k),
-            ((k + 1) * 1.0 - k) - 1.0,
-            ((k - 1) * qk - qk * k) + qk,
             (qk1 - qp.q * qk) - 1.0,
-            qk - qk,
         )
         for name, dev in zip(names, deviations):
-            worst[name] = max(worst[name], abs(dev))
+            worst[name] = max(worst[name], abs(dev) / qk1)
         classical = max(classical, abs((qk1 - qk) - 1.0))
     failures = tuple(name for name, r in worst.items() if not (r < tol))
     return AlgebraReport(

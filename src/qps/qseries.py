@@ -2,7 +2,6 @@
 
 Conventions, for a deformation parameter 0 < q < 1 and mu = -ln(q)/2:
 
-    (x; q)_n        = prod_{s=0}^{n-1} (1 - q^s x),   (x; q)_0 = 1
     [n over j]_q    = (q;q)_n / ((q;q)_j (q;q)_{n-j})   (Gaussian binomial)
     [n]_q           = (1 - q^n) / (1 - q)               (q-number)
     (q; q)_n        = prod_{s=1}^{n} (1 - q^s)          (q-factorial)
@@ -17,11 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-from .errors import NonConvergenceError
-
-#: term cap for the infinite q-Pochhammer product
-QPOCHHAMMER_INF_MAX_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -77,43 +71,6 @@ class QParam:
         return -math.expm1(-2.0 * self.mu * k)
 
 
-def qpochhammer(x: complex, qp: QParam, n: int) -> complex:
-    """Finite q-Pochhammer symbol (x; q)_n = prod_{s=0}^{n-1} (1 - q^s x)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    acc = 1.0
-    xq = x
-    for _ in range(n):
-        acc = acc * (1.0 - xq)
-        xq = xq * qp.q
-    return acc
-
-
-def qpochhammer_inf(x: complex, qp: QParam, tol: float) -> complex:
-    """Infinite q-Pochhammer symbol (x; q)_inf, truncated once |q^s x| < tol.
-
-    The skipped tail factors each differ from 1 by less than tol, so the
-    relative truncation error is bounded by tol/(1-q).  Raises
-    NonConvergenceError if the cap of QPOCHHAMMER_INF_MAX_TERMS factors is
-    reached first (q extremely close to 1).
-    """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    acc = 1.0
-    xq = x
-    s = 0
-    while abs(xq) >= tol:
-        if s >= QPOCHHAMMER_INF_MAX_TERMS:
-            raise NonConvergenceError(
-                "qpochhammer_inf", QPOCHHAMMER_INF_MAX_TERMS,
-                f"|q^s x| = {abs(xq):.3e} still above tol={tol:.3e} at s={s}",
-            )
-        acc = acc * (1.0 - xq)
-        xq = xq * qp.q
-        s += 1
-    return acc
-
-
 def qbinomial(n: int, j: int, qp: QParam) -> float:
     """Gaussian binomial [n over j]_q.
 
@@ -165,15 +122,3 @@ def qfactorial(n: int, qp: QParam) -> float:
     for s in range(1, n + 1):
         acc *= qp.one_minus_qpow(s)
     return acc
-
-
-def finite_cauchy_coeffs(n: int, qp: QParam) -> list[float]:
-    """Coefficients c_j of the finite Cauchy expansion of (x; q)_n.
-
-    (x; q)_n = sum_{j=0}^{n} (-1)^j [n over j]_q q^{j(j-1)/2} x^j, so
-    evaluating the returned polynomial at any x reproduces qpochhammer(x, qp, n).
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return [(-1.0 if j & 1 else 1.0) * binom * qp.qpow(j * (j - 1) / 2.0)
-            for j, binom in enumerate(_qbinomial_row(n, qp))]

@@ -50,7 +50,6 @@ use numpy.
 from __future__ import annotations
 
 import cmath
-import enum
 import math
 import warnings
 from collections.abc import Callable, Sequence
@@ -107,33 +106,14 @@ class WignerValue:
     value: float
 
 
-class DistributionKind(enum.Enum):
-    ANGLE = "angle"
-    ACTION = "action"
-
-
 @dataclass(frozen=True, eq=False)
 class DistributionTable:
-    """A marginal distribution sampled over its support, plus run metadata."""
+    """A marginal distribution sampled over its support."""
 
-    kind: DistributionKind
     n: int
     qp: QParam
     support: tuple
     values: tuple[float, ...]
-    metadata: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "n": self.n,
-            "q": self.qp.q,
-            "mu": self.qp.mu,
-            # the action support holds the integers m; both kinds list floats
-            "support": [float(x) for x in self.support],
-            "values": list(self.values),
-            "metadata": dict(self.metadata),
-        }
 
 
 def sinc_kernel(m: int, c: float) -> float:
@@ -448,8 +428,9 @@ def orthogonality_quadrature(
 
 def _theta3_bandwidth(mu: float, tol: float) -> int:
     """Fourier index t where theta_3's coefficient e^{-mu t^2} falls to tol;
-    ln(1/tol) is taken as -ln(tol), since 1/tol overflows for a subnormal tol."""
-    return math.ceil(math.sqrt(-math.log(tol) / mu))
+    ln(1/tol) is taken as -ln(tol), since 1/tol overflows for a subnormal tol,
+    and clamped at 0, since every coefficient is below a tol above 1."""
+    return math.ceil(math.sqrt(max(0.0, -math.log(tol)) / mu))
 
 
 def _t_cutoff(mu: float, tol: float) -> int:
@@ -719,8 +700,7 @@ def angle_table(n: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12) -> Dist
         raise OverflowError(
             f"angle marginal Omega^(n) is not finite in double precision at n={n}, q={qp.q}"
         )
-    meta = {"tol": tol, "grid_points": grid.k_points}
-    return DistributionTable(DistributionKind.ANGLE, n, qp, grid.points, values, meta)
+    return DistributionTable(n, qp, grid.points, values)
 
 
 def action_table(n: int, m_lo: int, m_hi: int, qp: QParam) -> DistributionTable:
@@ -729,4 +709,4 @@ def action_table(n: int, m_lo: int, m_hi: int, qp: QParam) -> DistributionTable:
         raise ValueError(f"empty m range [{m_lo}, {m_hi}]")
     support = tuple(range(m_lo, m_hi + 1))
     values = tuple(action_distribution(n, m, qp) for m in support)
-    return DistributionTable(DistributionKind.ACTION, n, qp, support, values, {})
+    return DistributionTable(n, qp, support, values)

@@ -230,6 +230,17 @@ class TestVerify:
         failing = [c for c in report["checks"] if not c["passed"]]
         assert report["passed"] is True, failing
 
+    def test_algebra_passes_where_qnumbers_near_1e3(self):
+        # rounding in k [k]_q alone reaches 1e-10 here; verify checks only the
+        # two q identities, each scaled by [k+1]_q
+        res = run("verify", "--q", "0.9999", "--n", "1000")
+        assert res.exit_code == 0
+        algebra = json.loads(res.output)["checks"][0]
+        assert list(algebra["residuals"]) == [
+            "aadag_minus_q_adaga_minus_one",
+            "comm_a_adag_minus_qN",
+        ]
+
     @settings(max_examples=25, deadline=None)
     @given(
         log_mu=st.floats(math.log(-math.log1p(-1e-4) / 2), math.log(-math.log(1e-4) / 2)),
@@ -378,3 +389,18 @@ class TestSubnormalTol:
 
     def test_verify_at_smallest_tol_fails_only_the_triangle(self):
         self.assert_only_the_triangle_fails("5e-324")
+
+
+class TestTolAboveOne:
+    """-ln(tol) < 0 for tol > 1, so the theta_3 bandwidth clamps at 0."""
+
+    def test_wigner_table_is_finite(self):
+        res = run("wigner", "--q", "0.5", "--n", "2", "--m", "2", "--tol", "10")
+        assert res.exit_code == 0
+        _, rows = parse_csv_table(res.stdout)
+        assert rows.shape[0] == 256
+        assert np.isfinite(rows).all()
+
+    def test_angle_marginal_from_wigner_is_finite(self):
+        value = qps.angle_distribution_from_wigner(2, 0.3, QParam.from_q(0.5), 12, tol=10)
+        assert math.isfinite(value)

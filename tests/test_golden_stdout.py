@@ -35,13 +35,16 @@ GOLDEN = [
     (("wigner", "--q", "0.0811", "--n", "150", "--m", "152", "--grid-points", "4096"),
      "bdba30a5386b63cb7aa252cf33dae824e38313bcd0cf57809e1e317e8d85e5b4"),
     (("verify", "--q", "0.5", "--n", "3"),
-     "8854b27938bba0d98f0af0bf28c72a66eea5a35fd61f082e9901e78b1ac5478c"),
+     "95ec6a550b2a69de0e71c5e86f62cf0cd2b9df9fcdca23c437cb4184403a719b"),
     # n >= 8 builds both quadrature tables (n_top 8 and 16)
     (("verify", "--q", "0.004", "--n", "10"),
-     "acc650d33e14df519ca190d1d13616a6e3adc3417b9c93dca3da3024e597c159"),
+     "6f33ba0854a4cb230aa1a816deb14db924c7199ebc8d22a2ff633ff7fcc99e9e"),
     # Gaussian theta_3 branch, quadrature on an enlarged 512-point grid
     (("verify", "--q", "0.998", "--n", "6"),
-     "cdc460df138d0c725f91a446880d2e3d3ee0ec870237223ea753a6906d4bf247"),
+     "2e5a56c385c578c710065081801078690071ecbf670af99ca743b6945899781e"),
+    # [k]_q up to ~950: both algebra residuals stay near eps once scaled by [k+1]_q
+    (("verify", "--q", "0.9999", "--n", "1000"),
+     "ab47ab09f3f28f77841bcc8436a9b5aa3f1bdaa6daab30a58e04d4dfc0e561b9"),
 ]
 
 

@@ -3,21 +3,9 @@
 import math
 from math import comb
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from qps import (
-    NonConvergenceError,
-    QParam,
-    finite_cauchy_coeffs,
-    qbinomial,
-    qfactorial,
-    qnumber,
-    qpochhammer,
-    qpochhammer_inf,
-)
+from qps import QParam, qbinomial, qfactorial, qnumber
 from qps.qseries import _qbinomial_row
 
 Q_TRIO = (0.1, 0.5, 0.9)
@@ -58,65 +46,6 @@ class TestQParam:
         qp = QParam.from_q(1 - 1e-8)
         # 1 - q^3 = 3e-8 - 3e-16 + ... ; plain 1 - q**3 would lose digits
         assert qp.one_minus_qpow(3) == pytest.approx(3e-8 - 3e-16, rel=1e-12)
-
-
-class TestQPochhammer:
-    def test_empty_product_is_one(self):
-        qp = QParam.from_q(0.5)
-        assert qpochhammer(3.7 + 2.2j, qp, 0) == 1.0
-
-    def test_vanishes_at_x_one(self):
-        assert qpochhammer(1.0, QParam.from_q(0.5), 3) == 0.0
-
-    def test_two_factor_hand_oracle(self):
-        # (1 - 0.5)(1 - 0.25) = 0.375
-        assert qpochhammer(0.5, QParam.from_q(0.5), 2) == pytest.approx(0.375, rel=1e-15)
-
-    def test_rejects_negative_n(self):
-        with pytest.raises(ValueError):
-            qpochhammer(0.5, QParam.from_q(0.5), -1)
-
-    @given(
-        x_re=st.floats(-2, 2),
-        x_im=st.floats(-2, 2),
-        q=st.floats(0.05, 0.95),
-        n=st.integers(0, 20),
-    )
-    @settings(max_examples=60)
-    def test_recurrence_exact_as_computed(self, x_re, x_im, q, n):
-        qp = QParam.from_q(q)
-        x = complex(x_re, x_im)
-        # form the last factor the same way the running product does, so the
-        # recurrence holds bitwise
-        xq = x
-        for _ in range(n):
-            xq = xq * qp.q
-        assert qpochhammer(x, qp, n + 1) == qpochhammer(x, qp, n) * (1.0 - xq)
-
-
-class TestQPochhammerInf:
-    def test_x_zero(self):
-        assert qpochhammer_inf(0.0, QParam.from_q(0.5), 1e-15) == 1.0
-
-    def test_x_one(self):
-        assert qpochhammer_inf(1.0, QParam.from_q(0.5), 1e-15) == 0.0
-
-    def test_matches_long_product(self):
-        qp = QParam.from_q(0.5)
-        brute = 1.0
-        for s in range(100):
-            brute *= 1.0 - qp.q**s * 0.5
-        assert qpochhammer_inf(0.5, qp, 1e-12) == pytest.approx(brute, rel=1e-12)
-
-    def test_cap_raises(self):
-        # q so close to 1 that |q^s x| barely decays over 10^4 factors
-        qp = QParam.from_q(1 - 1e-9)
-        with pytest.raises(NonConvergenceError):
-            qpochhammer_inf(0.9, qp, 1e-12)
-
-    def test_rejects_bad_tol(self):
-        with pytest.raises(ValueError):
-            qpochhammer_inf(0.5, QParam.from_q(0.5), 0.0)
 
 
 class TestQBinomial:
@@ -188,27 +117,3 @@ class TestQFactorial:
     def test_three_factor_q09(self):
         # 0.1 * 0.19 * 0.271
         assert qfactorial(3, QParam.from_q(0.9)) == pytest.approx(0.005149, rel=1e-12)
-
-
-class TestFiniteCauchy:
-    def test_small_cases(self):
-        qp = QParam.from_q(0.5)
-        assert finite_cauchy_coeffs(0, qp) == [1.0]
-        assert finite_cauchy_coeffs(1, qp) == [1.0, -1.0]
-        c2 = finite_cauchy_coeffs(2, qp)
-        assert c2 == pytest.approx([1.0, -1.5, 0.5], rel=1e-15)
-
-    @pytest.mark.parametrize("q", Q_TRIO)
-    def test_matches_pochhammer_at_random_points(self, q):
-        qp = QParam.from_q(q)
-        rng = np.random.default_rng(1234)
-        for n in range(16):
-            coeffs = finite_cauchy_coeffs(n, qp)
-            for _ in range(20):
-                z = rng.uniform(-1, 1) * 2 + 1j * rng.uniform(-1, 1) * 2
-                poly = sum(c * z**j for j, c in enumerate(coeffs))
-                direct = qpochhammer(z, qp, n)
-                # eps-level floor from the polynomial's term mass covers the
-                # near-root cancellation at q = 0.9
-                mass = sum(abs(c) * abs(z) ** j for j, c in enumerate(coeffs))
-                assert abs(poly - direct) <= 1e-11 * max(1.0, abs(direct)) + 100 * 2.2e-16 * mass

@@ -1,6 +1,5 @@
 """Wigner function, Carlitz orthogonality routes, and both marginals."""
 
-import json
 import math
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qps import (
-    DistributionKind,
     PhaseGrid,
     QParam,
     ResolutionWarning,
@@ -329,7 +327,6 @@ class TestActionMarginal:
     def test_action_table_structure(self):
         qp = QParam.from_q(0.9)
         table = action_table(4, 3, 5, qp)
-        assert table.kind is DistributionKind.ACTION
         assert list(table.support) == [3, 4, 5]
         assert table.values == pytest.approx([0.0, 1.0, 0.0], abs=1e-8)
         assert sum(abs(v - round(v)) for v in table.values) < 1e-8
@@ -432,14 +429,3 @@ class TestFigureBehavior:
             table = angle_table(0, QParam.from_mu(mu), GRID)
             cvs.append(circular_variance(table.values, GRID))
         assert cvs[0] > cvs[1] > cvs[2]
-
-
-class TestDistributionTable:
-    def test_round_trips_through_json(self):
-        qp = QParam.from_q(0.5)
-        table = angle_table(2, qp, PhaseGrid.uniform(16))
-        payload = json.loads(json.dumps(table.to_dict()))
-        assert payload["kind"] == "angle"
-        assert payload["n"] == 2
-        assert payload["q"] == 0.5
-        assert len(payload["values"]) == 16
