@@ -30,7 +30,7 @@ def main():
 
     lines = ["theta," + ",".join(f"mu={mu:g}" for mu in args.mu)]
     for i, theta in enumerate(grid.points):
-        row = [f"{theta:.17g}"] + [f"{t.values[i]:.17g}" for t in tables]
+        row = [f"{theta:.17g}"] + [f"{t[i]:.17g}" for t in tables]
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -41,7 +41,7 @@ def main():
 
     print(f"\ncircular variance of Omega^({args.n}):")
     for mu, table in zip(args.mu, tables):
-        cv = circular_variance(table.values, grid)
+        cv = circular_variance(table, grid)
         bar = "#" * int(round(60 * cv))
         print(f"  mu={mu:<6g} V={cv:.6f} {bar}")
     if args.n == 0:

@@ -10,9 +10,7 @@ with its action/angle marginals (wigner).  The relation checks behind
 from .errors import ImaginaryResidueError, NonConvergenceError, ResolutionWarning
 from .qalgebra import (
     AlgebraReport,
-    apply_A_poly,
     apply_Adag_poly,
-    rs_basis_expand,
     verify_algebra,
 )
 from .qseries import (
@@ -22,7 +20,6 @@ from .qseries import (
     qnumber,
 )
 from .rspoly import (
-    Polynomial,
     jackson_derivative,
     rs_coefficients,
     rs_eval_direct,
@@ -38,9 +35,7 @@ from .theta import (
     theta3_series,
 )
 from .wigner import (
-    DistributionTable,
     PhaseGrid,
-    WignerValue,
     action_distribution,
     action_table,
     angle_distribution,
@@ -60,23 +55,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraReport",
-    "DistributionTable",
     "ImaginaryResidueError",
     "MU_SWITCH",
     "NonConvergenceError",
     "PhaseGrid",
-    "Polynomial",
     "QParam",
     "ResolutionWarning",
     "ThetaEval",
     "ThetaRepresentation",
-    "WignerValue",
     "action_distribution",
     "action_table",
     "angle_distribution",
     "angle_distribution_from_wigner",
     "angle_table",
-    "apply_A_poly",
     "apply_Adag_poly",
     "carlitz_closed_form",
     "carlitz_double_sum",
@@ -86,7 +77,6 @@ __all__ = [
     "qbinomial",
     "qfactorial",
     "qnumber",
-    "rs_basis_expand",
     "rs_coefficients",
     "rs_eval_direct",
     "rs_eval_recurrence",

@@ -24,6 +24,7 @@ from .verify import build_verify_report
 from .wigner import PhaseGrid, _t_cutoff, action_table, angle_table, wigner_grid
 
 EXIT_VERIFY_FAILED = 1
+EXIT_USAGE = 2
 EXIT_NONCONVERGENT = 3
 
 
@@ -61,8 +62,13 @@ def fnum(x: float) -> str:
 
 
 def emit(text: str, cfg: RunConfig) -> None:
+    """Write text to --out, or to stdout; an unwritable --out is a usage error."""
     if cfg.output_path:
-        Path(cfg.output_path).write_text(text)
+        try:
+            Path(cfg.output_path).write_text(text)
+        except OSError as exc:
+            click.echo(f"Error: cannot write {cfg.output_path}: {exc.strerror or exc}", err=True)
+            sys.exit(EXIT_USAGE)
     else:
         click.echo(text, nl=False)
 
@@ -137,7 +143,7 @@ def poly(q, mu, n, grid_points, tol, fmt, out):
     cfg = make_config(q, mu, n, grid_points, tol, fmt, out)
     with numeric_exit():
         grid = PhaseGrid.uniform(cfg.grid_points)
-        coeff_rows = [[float(c) for c in rs_coefficients(k, cfg.qp).coeffs]
+        coeff_rows = [[float(c) for c in rs_coefficients(k, cfg.qp)]
                       for k in range(cfg.n + 1)]
 
         r2 = [_abs_r_squared_row(k, grid, cfg.qp) for k in range(cfg.n + 1)]
@@ -217,7 +223,7 @@ def angle_dist(q, mu, n, grid_points, tol, fmt, out, mu_list):
     if cfg.output_format == "csv":
         lines = ["theta," + ",".join(label for label, _ in params)]
         for i, th in enumerate(grid.points):
-            lines.append(",".join([fnum(th)] + [fnum(t.values[i]) for t in tables]))
+            lines.append(",".join([fnum(th)] + [fnum(t[i]) for t in tables]))
         emit("\n".join(lines) + "\n", cfg)
     else:
         payload = {
@@ -232,7 +238,7 @@ def angle_dist(q, mu, n, grid_points, tol, fmt, out, mu_list):
                     "q": qp.q,
                     "mu": qp.mu,
                     "theta3_terms": theta3(0.0, qp, cfg.tol).terms_used,
-                    "values": list(table.values),
+                    "values": list(table),
                 }
                 for (label, qp), table in zip(params, tables)
             ],
@@ -260,7 +266,7 @@ def action_dist(q, mu, n, grid_points, tol, fmt, out, m_range):
     cfg = make_config(q, mu, n, grid_points, tol, fmt, out)
     lo, hi = _parse_m_range(m_range)
     with numeric_exit():
-        values = list(action_table(cfg.n, lo, hi, cfg.qp).values)
+        values = list(action_table(cfg.n, lo, hi, cfg.qp))
     if cfg.output_format == "csv":
         lines = ["m,lambda"]
         for m, v in zip(range(lo, hi + 1), values):

@@ -1,7 +1,7 @@
 """q-deformed oscillator algebra {A, A+, N} realized on the Rogers-Szego basis.
 
-Polynomial form: A = D_q (the Jackson derivative) and
-A+ = (1 + y) - (1 - q) y D_q, which act as ladders
+Polynomial form, on coefficient tuples: A = D_q (rspoly.jackson_derivative)
+and A+ = (1 + y) - (1 - q) y D_q (apply_Adag_poly), which act as ladders
 
     A  H_n = [n]_q H_{n-1},      A+ H_n = H_{n+1},      N H_n = n H_n.
 
@@ -28,52 +28,28 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .qseries import QParam, qnumber
-from .rspoly import Polynomial, jackson_derivative, rs_coefficients
 
 
-def apply_A_poly(p: Polynomial, qp: QParam) -> Polynomial:
-    """Annihilation in polynomial form: A p = D_q p."""
-    return jackson_derivative(p, qp)
+def apply_Adag_poly(p: tuple, qp: QParam) -> tuple:
+    """Creation in polynomial form: A+ p = (1 + y) p - (1 - q) y D_q p.
 
-
-def apply_Adag_poly(p: Polynomial, qp: QParam) -> Polynomial:
-    """Creation in polynomial form: A+ p = (1 + y) p - (1 - q) y D_q p."""
-    if p.is_zero():
-        return Polynomial.zero()
-    one_plus_y_p = p + p.times_y()
-    correction = jackson_derivative(p, qp).times_y().scale(qp.one_minus_qpow(1))
-    return one_plus_y_p - correction
-
-
-def rs_basis_expand(p: Polynomial, qp: QParam) -> list[complex]:
-    """Expand a polynomial over the {H_n} basis.
-
-    Repeated leading-coefficient elimination: H_n is monic, so the change of
-    basis is upper triangular with unit diagonal and needs no linear solve.
-    Returns coefficients c with p = sum_n c[n] H_n.
+    On coefficients, entry r is (p[r] + p[r-1]) - (1 - q)([r]_q p[r]), the
+    q-Pascal form p[r-1] + q^r p[r] evaluated in this order; the result is
+    one degree higher than p, and A+ of zero is zero.
     """
-    work = list(p.coeffs)
-    out = [0j] * max(1, len(work))
-    while work:
-        d = len(work) - 1
-        lead = work.pop()
-        if lead == 0:
-            continue
-        out[d] = lead
-        if d > 0:
-            hn = rs_coefficients(d, qp).coeffs
-            for r in range(d):
-                work[r] -= lead * hn[r]
-    return out
+    if not p:
+        return ()
+    c = qp.one_minus_qpow(1)
+    # the appended 0.0 is p[deg p + 1], and p[-1] at r = 0
+    padded = p + (0.0,)
+    return tuple((padded[r] + padded[r - 1]) - c * (qnumber(r, qp) * padded[r])
+                 for r in range(len(padded)))
 
 
 @dataclass(frozen=True)
 class AlgebraReport:
     """Scaled residuals of the two q identities on H_0 .. H_{n_max-1}."""
 
-    n_max: int
-    q: float
-    tol: float
     residuals: dict[str, float]
     passed: bool
     failures: tuple[str, ...]
@@ -112,9 +88,6 @@ def verify_algebra(n_max: int, qp: QParam, tol: float) -> AlgebraReport:
         classical = max(classical, abs((qk1 - qk) - 1.0))
     failures = tuple(name for name, r in worst.items() if not (r < tol))
     return AlgebraReport(
-        n_max=n_max,
-        q=qp.q,
-        tol=tol,
         residuals=worst,
         passed=not failures,
         failures=failures,

@@ -15,84 +15,31 @@ The substitution y = -q^{-1/2} e^{i phi} blows up as q -> 0, so angle-space
 evaluation is reliable on the practical domain q in [1e-4, 1 - 1e-4];
 rs_function folds the q^{n/2} prefactor into the sum term by term; _rs_row
 gives those bounded coefficients a_r, the row behind the Wigner weights.
+
+A polynomial is its coefficient tuple, lowest degree first; () is zero.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .qseries import QParam, _qbinomial_row, qbinomial, qfactorial, qnumber
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial; coeffs[r] multiplies y^r.  Immutable.
-
-    The zero polynomial is the empty tuple; otherwise the trailing
-    coefficient is nonzero after construction via :meth:`make`.
-    """
-
-    coeffs: tuple[complex, ...]
-
-    @staticmethod
-    def make(coeffs) -> "Polynomial":
-        """Build from any coefficient sequence, trimming trailing exact zeros."""
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        return Polynomial(tuple(c))
-
-    @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial(())
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, y: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * y + c
-        return acc
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return Polynomial.make(x + y for x, y in zip(a, b))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(-1.0)
-
-    def scale(self, c: complex) -> "Polynomial":
-        if c == 0:
-            return Polynomial.zero()
-        return Polynomial.make(c * x for x in self.coeffs)
-
-    def times_y(self) -> "Polynomial":
-        """Multiply by y (shift coefficients up one degree)."""
-        if self.is_zero():
-            return self
-        return Polynomial((0,) + self.coeffs)
-
-
-def rs_coefficients(n: int, qp: QParam) -> Polynomial:
-    """H_n as a coefficient vector: coeffs[r] = [n over r]_q (all real positive)."""
+def rs_coefficients(n: int, qp: QParam) -> tuple[float, ...]:
+    """H_n as its coefficient row: entry r is [n over r]_q (all real positive)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return Polynomial(_qbinomial_row(n, qp))
+    return _qbinomial_row(n, qp)
 
 
 def rs_eval_direct(n: int, y: complex, qp: QParam) -> complex:
     """H_n(y; q) by Horner evaluation of the coefficient sum."""
-    return rs_coefficients(n, qp)(y)
+    acc = 0j
+    for c in reversed(rs_coefficients(n, qp)):
+        acc = acc * y + c
+    return acc
 
 
 def rs_eval_recurrence(n: int, y: complex, qp: QParam) -> complex:
@@ -108,17 +55,14 @@ def rs_eval_recurrence(n: int, y: complex, qp: QParam) -> complex:
     return h
 
 
-def jackson_derivative(p: Polynomial, qp: QParam) -> Polynomial:
+def jackson_derivative(p: tuple, qp: QParam) -> tuple:
     """Jackson q-derivative D_q p(y) = (p(y) - p(qy)) / (y (1 - q)).
 
-    On coefficients this is (D_q p)[r] = [r+1]_q p[r+1]; on the Rogers-Szego
-    basis it acts as the lowering ladder D_q H_n = [n]_q H_{n-1}.
+    On coefficients this is (D_q p)[r] = [r+1]_q p[r+1], so a constant goes
+    to (); on the Rogers-Szego basis it acts as the lowering ladder
+    D_q H_n = [n]_q H_{n-1}.
     """
-    if len(p.coeffs) <= 1:
-        return Polynomial.zero()
-    return Polynomial.make(
-        qnumber(r + 1, qp) * p.coeffs[r + 1] for r in range(len(p.coeffs) - 1)
-    )
+    return tuple(qnumber(r, qp) * p[r] for r in range(1, len(p)))
 
 
 def _rs_row(n: int, qp: QParam) -> list[float]:

@@ -102,7 +102,7 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
 
     worst_norm = 0.0
     for nn in {0, 1, n_check}:
-        values = angle_table(nn, qp, grid, quad_tol).values
+        values = angle_table(nn, qp, grid, quad_tol)
         worst_norm = max(worst_norm, abs(grid.weight * sum(values) - 1.0))
     checks.append({
         "name": "angle_normalization",

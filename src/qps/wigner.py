@@ -29,6 +29,8 @@ wigner_eval evaluates it at one angle, wigner_grid sums its cosine series at
 each grid point (O(K + F) memory for K angles and F frequencies), and
 angle_distribution_from_wigner swaps the sinc kernel for its summed action
 window.  action_distribution sums only the finite f = 0 slice, directly.
+Results are plain floats: wigner_eval returns one, and angle_table and
+action_table return a tuple, one value per grid point or per m.
 Each frequency slice of the spectrum is summed exactly by one math.fsum, and
 so are the rounded products amp_f cos(f theta) of each cosine series.  The
 raw one-sided sums in wigner_one_sided are the independent loop that
@@ -94,26 +96,6 @@ class PhaseGrid:
     @property
     def k_points(self) -> int:
         return len(self.points)
-
-
-@dataclass(frozen=True)
-class WignerValue:
-    """One Wigner-function sample; the assembled value is real by construction."""
-
-    n: int
-    m: int
-    theta: float
-    value: float
-
-
-@dataclass(frozen=True, eq=False)
-class DistributionTable:
-    """A marginal distribution sampled over its support."""
-
-    n: int
-    qp: QParam
-    support: tuple
-    values: tuple[float, ...]
 
 
 def sinc_kernel(m: int, c: float) -> float:
@@ -523,7 +505,7 @@ def _sinc_at(m: int) -> Callable[[int], float]:
     return lambda c2: sinc_kernel(m, c2 / 2.0)
 
 
-def wigner_eval(n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12) -> WignerValue:
+def wigner_eval(n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12) -> float:
     """O_n(m, theta) with the t-sum truncated at exp(-mu t^2) ~ tol.
 
     The shift-averaged kernel pairs every term with its conjugate, so the
@@ -536,7 +518,7 @@ def wigner_eval(n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12) ->
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
-    return WignerValue(n, m, theta, pref * _cosine_series(freqs, amps, theta))
+    return pref * _cosine_series(freqs, amps, theta)
 
 
 def wigner_one_sided(
@@ -692,21 +674,19 @@ def circular_variance(values: Sequence[float], grid: PhaseGrid) -> float:
     return 1.0 - abs(resultant) / total
 
 
-def angle_table(n: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12) -> DistributionTable:
-    """Omega^(n) sampled over the grid as a DistributionTable; OverflowError
-    if any sample is not finite."""
+def angle_table(n: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12) -> tuple[float, ...]:
+    """Omega^(n) at each point of grid.points; OverflowError if any sample
+    is not finite."""
     values = tuple(angle_distribution(n, th, qp, tol) for th in grid.points)
     if not all(map(math.isfinite, values)):
         raise OverflowError(
             f"angle marginal Omega^(n) is not finite in double precision at n={n}, q={qp.q}"
         )
-    return DistributionTable(n, qp, grid.points, values)
+    return values
 
 
-def action_table(n: int, m_lo: int, m_hi: int, qp: QParam) -> DistributionTable:
-    """Lambda^(n)(m) for m in [m_lo, m_hi] as a DistributionTable."""
+def action_table(n: int, m_lo: int, m_hi: int, qp: QParam) -> tuple[float, ...]:
+    """Lambda^(n)(m) for m = m_lo .. m_hi."""
     if m_hi < m_lo:
         raise ValueError(f"empty m range [{m_lo}, {m_hi}]")
-    support = tuple(range(m_lo, m_hi + 1))
-    values = tuple(action_distribution(n, m, qp) for m in support)
-    return DistributionTable(n, qp, support, values)
+    return tuple(action_distribution(n, m, qp) for m in range(m_lo, m_hi + 1))

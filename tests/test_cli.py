@@ -50,7 +50,7 @@ class TestPoly:
         res = run("poly", "--q", "0.5", "--n", "3", "--grid-points", "8")
         lines = res.output.splitlines()
         parsed = [float(x) for x in lines[3].split(",")]
-        expected = [float(c) for c in qps.rs_coefficients(3, QParam.from_q(0.5)).coeffs]
+        expected = [float(c) for c in qps.rs_coefficients(3, QParam.from_q(0.5))]
         assert parsed == expected
 
     def test_json_mirrors_csv(self):
@@ -345,6 +345,19 @@ class TestOutputPath:
         header, rows = parse_csv_table(target.read_text())
         assert header == ["theta", "theta3"]
         assert rows.shape == (8, 2)
+
+    @pytest.mark.parametrize("args", [
+        ("poly", "--q", "0.5", "--n", "1", "--grid-points", "8"),
+        ("verify", "--q", "0.5", "--n", "3"),
+    ], ids=["poly", "verify"])
+    def test_missing_directory_is_usage_error(self, tmp_path, args):
+        target = tmp_path / "missing" / "out.txt"
+        res = run(*args, "--out", str(target))
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith(f"Error: cannot write {target}: ")
+        assert res.stderr.count("\n") == 1
+        assert not target.parent.exists()
 
 
 class TestSubnormalTol:

@@ -110,10 +110,10 @@ for fmt in ("csv", "json"):
     report[fmt] = out.getvalue()
 qp = qps.QParam.from_q(0.5)
 grid = qps.PhaseGrid.uniform(64)
-report["wigner_eval"] = qps.wigner_eval(2, 2, 0.3, qp).value
+report["wigner_eval"] = qps.wigner_eval(2, 2, 0.3, qp)
 report["from_wigner"] = qps.angle_distribution_from_wigner(2, 0.3, qp, m_cut=40)
 report["angle"] = qps.angle_distribution(2, 0.3, qp)
-report["variance"] = qps.circular_variance(qps.angle_table(0, qp, grid).values, grid)
+report["variance"] = qps.circular_variance(qps.angle_table(0, qp, grid), grid)
 out = io.StringIO()
 sys.argv = [script, "--n", "0", "--mu", "0.5", "--grid-points", "64"]
 with contextlib.redirect_stdout(out):

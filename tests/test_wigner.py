@@ -83,22 +83,30 @@ class TestPlainContainers:
     def test_angle_table_matches_pointwise(self, n, q, k_points):
         qp = QParam.from_q(q)
         table = angle_table(n, qp, PhaseGrid.uniform(k_points))
-        assert type(table.support) is tuple and type(table.values) is tuple
-        assert all(type(v) is float for v in table.values)
+        assert type(table) is tuple
+        assert all(type(v) is float for v in table)
         want = [angle_distribution(n, th, qp) for th in numpy_grid(k_points)]
-        assert hex_list(table.values) == hex_list(want)
-        assert hex_list(table.support) == hex_list(numpy_grid(k_points).tolist())
+        assert hex_list(table) == hex_list(want)
 
     @pytest.mark.parametrize("n,q,m_lo,m_hi", [(0, 0.5, -2, 3), (5, 0.3, -1, 8),
                                                (30, 0.004, 27, 33), (5, 0.9999, 3, 9)])
     def test_action_table_matches_pointwise(self, n, q, m_lo, m_hi):
         qp = QParam.from_q(q)
         table = action_table(n, m_lo, m_hi, qp)
-        assert table.support == tuple(range(m_lo, m_hi + 1))
-        assert type(table.values) is tuple
-        assert all(type(v) is float for v in table.values)
+        assert type(table) is tuple
+        assert all(type(v) is float for v in table)
         want = [action_distribution(n, int(m), qp) for m in np.arange(m_lo, m_hi + 1)]
-        assert hex_list(table.values) == hex_list(want)
+        assert hex_list(table) == hex_list(want)
+
+    @pytest.mark.parametrize("n,m,q", [(0, 0, 0.5), (3, 2, 0.1), (6, 8, 0.9)])
+    def test_wigner_eval_is_the_grid_float(self, n, m, q):
+        qp = QParam.from_q(q)
+        grid = PhaseGrid.uniform(16)
+        row = wigner_grid(n, m, qp, grid)
+        for k in (0, 5, 11):
+            value = wigner_eval(n, m, grid.points[k], qp)
+            assert type(value) is float
+            assert value.hex() == row[k].hex()
 
 
 class TestSincKernel:
@@ -220,18 +228,18 @@ class TestWignerEval:
                     oracle += (
                         math.exp(-qp.mu * t * t) * math.cos(t * theta) * naive_sinc(m - t / 2.0)
                     )
-                value = wigner_eval(0, m, theta, qp, 1e-13).value
+                value = wigner_eval(0, m, theta, qp, 1e-13)
                 assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_strong_deformation_peak(self):
         # t = 0 term dominates: O_0(0, 0) = 1 + (4/pi) sqrt(q) + O(q^2)
         qp = QParam.from_q(1e-3)
-        value = wigner_eval(0, 0, 0.0, qp).value
+        value = wigner_eval(0, 0, 0.0, qp)
         assert abs(value - 1.0 - (4 / math.pi) * math.sqrt(qp.q)) < 5 * qp.q
 
     def test_frozen_reference_value(self):
         # independently assembled from the one-sum reduction before freezing
-        value = wigner_eval(0, 0, 0.0, QParam.from_q(0.5), 1e-14).value
+        value = wigner_eval(0, 0, 0.0, QParam.from_q(0.5), 1e-14)
         assert value == pytest.approx(1.8816036793287345, rel=1e-14)
 
     @pytest.mark.parametrize("q", (0.1, 0.3, 0.5, 0.7, 0.9))
@@ -275,7 +283,7 @@ class TestShiftChoice:
                 for th in (0.0, 0.7, 2.2, -1.3):
                     a = wigner_one_sided(n, m, th, qp, 1e-13, -1).real
                     b = wigner_one_sided(n, m, th, qp, 1e-13, +1).real
-                    c = wigner_eval(n, m, th, qp, 1e-13).value
+                    c = wigner_eval(n, m, th, qp, 1e-13)
                     assert abs(a - b) < 1e-12
                     assert abs(a - c) < 1e-12
 
@@ -296,7 +304,7 @@ class TestGridSweep:
             for m in (-1, n, n + 3):
                 grid_vals = wigner_grid(n, m, qp, small, 1e-12)
                 for k, th in enumerate(small.points):
-                    scalar = wigner_eval(n, m, float(th), qp, 1e-12).value
+                    scalar = wigner_eval(n, m, float(th), qp, 1e-12)
                     assert abs(grid_vals[k] - scalar) < scale
 
     def test_far_action_slices_decay(self):
@@ -327,9 +335,8 @@ class TestActionMarginal:
     def test_action_table_structure(self):
         qp = QParam.from_q(0.9)
         table = action_table(4, 3, 5, qp)
-        assert list(table.support) == [3, 4, 5]
-        assert table.values == pytest.approx([0.0, 1.0, 0.0], abs=1e-8)
-        assert sum(abs(v - round(v)) for v in table.values) < 1e-8
+        assert table == pytest.approx([0.0, 1.0, 0.0], abs=1e-8)
+        assert sum(abs(v - round(v)) for v in table) < 1e-8
 
     def test_total_action_mass(self):
         qp = QParam.from_q(0.5)
@@ -374,8 +381,8 @@ class TestAngleMarginal:
         qp = QParam.from_q(q)
         for n in range(7):
             table = angle_table(n, qp, GRID)
-            assert GRID.weight * float(np.sum(table.values)) == pytest.approx(1.0, abs=1e-10)
-            assert all(v > 0 for v in table.values)
+            assert GRID.weight * float(np.sum(table)) == pytest.approx(1.0, abs=1e-10)
+            assert all(v > 0 for v in table)
 
     def test_evenness(self):
         qp = QParam.from_q(0.5)
@@ -420,12 +427,12 @@ class TestFigureBehavior:
         for mu in (0.1, 0.5, 1.0):
             qp = QParam.from_mu(mu)
             table = angle_table(0, qp, GRID)
-            cv = circular_variance(table.values, GRID)
+            cv = circular_variance(table, GRID)
             assert cv == pytest.approx(1.0 - math.exp(-mu), abs=1e-10)
 
     def test_width_shrinks_with_mu(self):
         cvs = []
         for mu in (1.0, 0.5, 0.1):
             table = angle_table(0, QParam.from_mu(mu), GRID)
-            cvs.append(circular_variance(table.values, GRID))
+            cvs.append(circular_variance(table, GRID))
         assert cvs[0] > cvs[1] > cvs[2]
