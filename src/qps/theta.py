@@ -48,8 +48,6 @@ class ThetaRepresentation(enum.Enum):
 class ThetaEval:
     """One theta_3 evaluation: value, branch used, and term count."""
 
-    phi: float
-    mu: float
     value: float
     representation: ThetaRepresentation
     terms_used: int
@@ -83,7 +81,7 @@ def theta3_series(phi: float, qp: QParam, tol: float) -> ThetaEval:
     acc = 1.0
     for m in range(1, t_max + 1):
         acc += 2.0 * math.exp(-mu * m * m) * math.cos(m * phi_r)
-    return ThetaEval(phi, mu, acc, ThetaRepresentation.FOURIER_SERIES, t_max + 1)
+    return ThetaEval(acc, ThetaRepresentation.FOURIER_SERIES, t_max + 1)
 
 
 def theta3_gaussian(phi: float, qp: QParam, tol: float) -> ThetaEval:
@@ -115,7 +113,7 @@ def theta3_gaussian(phi: float, qp: QParam, tol: float) -> ThetaEval:
         # 0.5 * tol would round to 0 at the smallest subnormal tol
         if 2.0 * (pref * pair) < tol and n >= 2:
             break
-    return ThetaEval(phi, mu, pref * acc, ThetaRepresentation.GAUSSIAN_SUM, 2 * n + 1)
+    return ThetaEval(pref * acc, ThetaRepresentation.GAUSSIAN_SUM, 2 * n + 1)
 
 
 def theta3(phi: float, qp: QParam, tol: float = 1e-15) -> ThetaEval:

@@ -56,7 +56,7 @@ import math
 import warnings
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -98,17 +98,14 @@ class PhaseGrid:
         return len(self.points)
 
 
-def sinc_kernel(m: int, c: float) -> float:
-    """sin((m - c) pi) / ((m - c) pi) for integer m and half-integer c.
+def sinc_kernel(m: int, c2: int) -> float:
+    """sin((m - c) pi) / ((m - c) pi) for integer m and the centre c = c2/2.
 
-    Evaluated by exact case analysis on 2(m - c): 1 at the removable
+    Evaluated by exact case analysis on d2 = 2(m - c): 1 at the removable
     singularity m = c, 0 for nonzero integer m - c, and
     (-1)^floor(m - c) / ((m - c) pi) on the half-odd lattice.  Never
     computed as a floating sin/x quotient, so delta structure is exact.
     """
-    c2 = round(2.0 * c)
-    if abs(2.0 * c - c2) > 1e-12:
-        raise ValueError(f"c must be an integer or half-integer, got {c}")
     d2 = 2 * m - c2
     if d2 == 0:
         return 1.0
@@ -500,11 +497,6 @@ def _wigner_spectrum(
     return pref, freqs, tuple(folded[f] for f in freqs)
 
 
-def _sinc_at(m: int) -> Callable[[int], float]:
-    """Spectrum kernel of the single action value m."""
-    return lambda c2: sinc_kernel(m, c2 / 2.0)
-
-
 def wigner_eval(n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12) -> float:
     """O_n(m, theta) with the t-sum truncated at exp(-mu t^2) ~ tol.
 
@@ -517,7 +509,7 @@ def wigner_eval(n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12) ->
         raise ValueError(f"n must be >= 0, got {n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
+    pref, freqs, amps = _wigner_spectrum(n, qp, tol, partial(sinc_kernel, m))
     return pref * _cosine_series(freqs, amps, theta)
 
 
@@ -547,7 +539,7 @@ def wigner_one_sided(
         inner = 0j
         for r in range(n + 1):
             for s in range(n + 1):
-                ker = sinc_kernel(m, (r + s - shift_sign * t) / 2.0)
+                ker = sinc_kernel(m, r + s - shift_sign * t)
                 if ker == 0.0:
                     continue
                 sign = -1.0 if (r + s) & 1 else 1.0
@@ -578,7 +570,7 @@ def wigner_grid(
         raise ValueError(f"n must be >= 0, got {n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    pref, freqs, amps = _wigner_spectrum(n, qp, tol, _sinc_at(m))
+    pref, freqs, amps = _wigner_spectrum(n, qp, tol, partial(sinc_kernel, m))
     return tuple(pref * _cosine_series(freqs, amps, theta) for theta in grid.points)
 
 

@@ -111,6 +111,14 @@ class TestAngleDist:
         res = run("angle-dist", "--q", "0.5", "--mu-list", "0.1,0.5")
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize("mu_list", ["0.1,,0.5", ",0.5", "0.1,", "0.1, ,0.5", ""])
+    def test_empty_mu_list_entry_is_usage_error(self, mu_list):
+        res = run("angle-dist", "--mu-list", mu_list)
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        errors = [ln for ln in res.stderr.splitlines() if ln.startswith("Error:")]
+        assert errors == [f"Error: --mu-list has an empty entry: {mu_list!r}"]
+
 
 class TestActionDist:
     def test_delta_row(self):
@@ -137,19 +145,19 @@ class TestActionDist:
 
     def test_coarse_grid_is_exact(self):
         # an 8-point grid aliases the Wigner spectrum, but the action marginal
-        # is the exact angle integral, independent of --grid-points and --tol
+        # is the exact angle integral, independent of --grid-points
         args = ("action-dist", "--q", "0.85", "--n", "5", "--m-range", "2:8")
         res = run(*args, "--grid-points", "8")
         assert res.exit_code == 0
         _, rows = parse_csv_table(res.output)
         expected = [1.0 if int(m) == 5 else 0.0 for m in rows[:, 0]]
         assert rows[:, 1] == pytest.approx(expected, abs=1e-8)
-        assert res.output == run(*args, "--grid-points", "4096", "--tol", "1e-3").output
+        assert res.output == run(*args, "--grid-points", "4096").output
 
     def test_json_keys(self):
         res = run("action-dist", "--q", "0.5", "--n", "2", "--m-range", "1:3", "--format", "json")
         payload = json.loads(res.output)
-        assert set(payload) == {"command", "q", "mu", "n", "grid_points", "tol", "m", "values"}
+        assert set(payload) == {"command", "q", "mu", "n", "grid_points", "m", "values"}
         assert payload["m"] == [1, 2, 3]
 
     def test_small_q_large_n_is_delta(self):
@@ -294,6 +302,15 @@ class TestConfigValidation:
     def test_rejects_q_out_of_range(self):
         assert run("poly", "--q", "0").exit_code == 2
         assert run("poly", "--q", "1").exit_code == 2
+
+    @pytest.mark.parametrize("command,option", [
+        ("poly", "--tol"), ("theta", "--n"), ("action-dist", "--tol"),
+    ])
+    def test_rejects_option_the_command_does_not_read(self, command, option):
+        res = run(command, "--q", "0.5", option, "1")
+        assert res.exit_code == 2
+        assert f"No such option '{option}'" in res.stderr
+        assert option not in run(command, "--help").stdout
 
 
 class TestNonConvergenceExit:

@@ -15,6 +15,8 @@ from qps.cli import cli
 GOLDEN = [
     (("poly", "--q", "0.5", "--n", "3", "--grid-points", "16"),
      "cb3103ea447e732e2062a101d21da09afde785332a6a7e8642b8540e00de0f15"),
+    (("poly", "--q", "0.5", "--n", "3", "--grid-points", "16", "--format", "json"),
+     "654d2ac3dd8afcebf3af53ae141a0c288884d1564372c284cb17e782b754fead"),
     (("theta", "--q", "0.5", "--grid-points", "16"),
      "a670883488f67509e15960721f86721b34bee4fac554d8caa52eb418939fc649"),
     (("theta", "--mu", "3.0", "--grid-points", "16", "--format", "json"),
@@ -26,6 +28,8 @@ GOLDEN = [
      "32d7150fdfd2591049be94d29547e0461b3ee1bb7b88284b87f069e4d6844c4c"),
     (("action-dist", "--q", "0.5", "--n", "2", "--m-range", "-1:4"),
      "ff820aa87c012e7b0a55c2d2cdf9c1821ffc5bfaf5bb262e9a519551e1a43ca5"),
+    (("action-dist", "--q", "0.5", "--n", "2", "--m-range", "-1:4", "--format", "json"),
+     "ae8143498f9f354040a98b43ddb873ab90bd6848a5e5cbb7fdb091a2f8d83c3c"),
     (("wigner", "--q", "0.5", "--n", "2", "--m", "2", "--grid-points", "16"),
      "097c746e6ab7c925edb299ae8d218847b58e3dc00910a03f4704acb7a9fbf732"),
     (("wigner", "--q", "0.5", "--n", "2", "--m", "2", "--grid-points", "16",

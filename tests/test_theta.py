@@ -59,10 +59,11 @@ class TestSeriesBranch:
             theta3_series(0.3, QParam.from_mu(1e-7), 1e-15)
 
     def test_reports_term_count(self):
-        ev = theta3_series(0.4, QParam.from_q(0.5), 1e-15)
+        qp = QParam.from_q(0.5)
+        ev = theta3_series(0.4, qp, 1e-15)
         assert ev.terms_used >= 2
         # dropped tail must respect the bound that sized the truncation
-        mu = ev.mu
+        mu = qp.mu
         t_max = ev.terms_used - 1
         assert math.exp(-mu * t_max * t_max) < 1e-15 * (1 - math.exp(-mu))
 

@@ -5,6 +5,7 @@ the action marginal against the spectrum's f = 0 row, bitwise."""
 import math
 import sys
 import tracemalloc
+from functools import partial
 
 import pytest
 from mpmath import mp
@@ -20,7 +21,7 @@ from qps import (
 from qps import wigner
 from qps.errors import ImaginaryResidueError
 from qps.rspoly import _rs_row
-from qps.wigner import _sinc_at, _t_cutoff, _wigner_spectrum
+from qps.wigner import _t_cutoff, _wigner_spectrum, sinc_kernel
 
 
 def reference_spectrum(n, qp, tol, kernel):
@@ -101,7 +102,7 @@ class TestMatchesScalarLoop:
     )
     def test_sinc_kernel(self, n, q, m, tol):
         qp = QParam.from_q(q)
-        kernel = _sinc_at(m)
+        kernel = partial(sinc_kernel, m)
         assert_same_bytes(
             _wigner_spectrum(n, qp, tol, kernel), reference_spectrum(n, qp, tol, kernel)
         )
@@ -133,10 +134,10 @@ class TestMatchesScalarLoop:
 
     def test_memory_bound(self):
         qp = QParam.from_q(0.0811)
-        _wigner_spectrum(150, qp, 1e-12, _sinc_at(152))
+        _wigner_spectrum(150, qp, 1e-12, partial(sinc_kernel, 152))
         tracemalloc.start()
         try:
-            _wigner_spectrum(150, qp, 1e-12, _sinc_at(152))
+            _wigner_spectrum(150, qp, 1e-12, partial(sinc_kernel, 152))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -153,7 +154,7 @@ class TestActionIsZeroFrequency:
             tol = math.exp(-qp.mu * n * n)
             assert _t_cutoff(qp.mu, tol) >= n
             for m in range(-2, n + 3):
-                pref, freqs, amps = reference_spectrum(n, qp, tol, _sinc_at(m))
+                pref, freqs, amps = reference_spectrum(n, qp, tol, partial(sinc_kernel, m))
                 amp0 = float(amps[0]) if freqs[0] == 0 else 0.0
                 assert action_distribution(n, m, qp).hex() == (pref * amp0).hex(), (n, m)
 
@@ -165,7 +166,7 @@ class TestActionIsZeroFrequency:
         qp = QParam.from_q(q)
         for m in (-1, 0, n, n + 1):
             with pytest.raises(OverflowError, match=guard) as spectrum:
-                _wigner_spectrum(n, qp, 1e-8, _sinc_at(m))
+                _wigner_spectrum(n, qp, 1e-8, partial(sinc_kernel, m))
             with pytest.raises(OverflowError) as action:
                 action_distribution(n, m, qp)
             assert str(action.value) == str(spectrum.value)
@@ -178,7 +179,7 @@ class TestGridApply:
         # each sample rounds f theta (|f theta| <= pi f), cos and the product
         # amp_f cos once, before an exact math.fsum and the product with pref
         qp = QParam.from_q(q)
-        pref, freqs, amps = _wigner_spectrum(n, qp, 1e-12, _sinc_at(m))
+        pref, freqs, amps = _wigner_spectrum(n, qp, 1e-12, partial(sinc_kernel, m))
         bound = sys.float_info.epsilon * pref * math.fsum(
             abs(a) * (2.0 + math.pi * f) for f, a in zip(freqs, amps)
         )
