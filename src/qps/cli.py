@@ -2,18 +2,17 @@
 
 Subcommands: poly, theta, angle-dist, action-dist, wigner, verify.
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
-3 numerical non-convergence or overflow.
+3 numerical non-convergence or overflow.  A usage error prints one
+`Error: ...` line on stderr and nothing on stdout.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
 from contextlib import contextmanager
-from pathlib import Path
-
-import click
 
 from .errors import ImaginaryResidueError, NonConvergenceError
 from .qseries import QParam
@@ -27,21 +26,114 @@ EXIT_USAGE = 2
 EXIT_NONCONVERGENT = 3
 
 
+class UsageError(Exception):
+    """A bad command line or option value; exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+class Command:
+    """One subcommand: its options, as (flag, add_argument keywords) pairs,
+    and the callback that takes their values by keyword."""
+
+    def __init__(self, name: str, callback, options: tuple):
+        self.name = name
+        self.callback = callback
+        self.options = options
+        self.help = callback.__doc__
+
+    def parser(self, prog: str) -> argparse.ArgumentParser:
+        parser = _Parser(prog=f"{prog} {self.name}", description=self.help, allow_abbrev=False)
+        for flag, kwargs in self.options:
+            parser.add_argument(flag, **kwargs)
+        return parser
+
+    def parse(self, argv: list[str], prog: str) -> dict:
+        """The callback's keyword arguments.  Every option takes the next token
+        as its value, even one that starts with '-' (`--m-range -2:4`)."""
+        flags = {flag for flag, _ in self.options}
+        joined = []
+        tokens = iter(argv)
+        for token in tokens:
+            value = next(tokens, None) if token in flags else None
+            joined.append(token if value is None else f"{token}={value}")
+        namespace, extra = self.parser(prog).parse_known_args(joined)
+        if extra:
+            if extra[0].startswith("-"):
+                raise UsageError(f"No such option '{extra[0].partition('=')[0]}'")
+            raise UsageError(f"Got unexpected extra argument ({extra[0]})")
+        return vars(namespace)
+
+
+class Group:
+    """The `qps` entry point: dispatches argv[0] to a Command."""
+
+    def __init__(self, name: str, help: str):
+        self.name = name
+        self.help = help
+        self.commands: dict[str, Command] = {}
+
+    def command(self, name: str, *options):
+        def register(callback):
+            self.commands[name] = Command(name, callback, options)
+            return callback
+        return register
+
+    def parser(self, prog: str) -> argparse.ArgumentParser:
+        listing = "\n".join(f"  {name:<12} {self.commands[name].help.splitlines()[0]}"
+                            for name in sorted(self.commands))
+        parser = _Parser(prog=prog, usage=f"{prog} [--version] [--help] COMMAND [OPTIONS]",
+                         description=self.help, epilog="commands:\n" + listing,
+                         formatter_class=argparse.RawDescriptionHelpFormatter,
+                         allow_abbrev=False)
+        parser.add_argument("--version", action="version", version="qps, version 0.1.0")
+        return parser
+
+    def main(self, args=None, prog_name: str | None = None, standalone_mode: bool = True):
+        """Run the command line args (default sys.argv[1:]).  Raises SystemExit
+        with the exit code; with standalone_mode=False, returns it instead."""
+        argv = sys.argv[1:] if args is None else list(args)
+        prog = prog_name or self.name
+        try:
+            if argv and argv[0] in self.commands:
+                # looked up per call: a tracer may swap the callback
+                command = self.commands[argv[0]]
+                command.callback(**command.parse(argv[1:], prog))
+            else:
+                if argv and argv[0].startswith("-"):
+                    # --version and --help exit here
+                    self.parser(prog).parse_args(argv)
+                raise UsageError(f"No such command '{argv[0]}'." if argv
+                                 else f"Missing command; see '{prog} --help'.")
+            code = 0
+        except UsageError as exc:
+            print(f"Error: {exc}", file=sys.stderr)
+            code = EXIT_USAGE
+        except SystemExit as exc:
+            code = exc.code
+        if standalone_mode:
+            raise SystemExit(code)
+        return code
+
+
 def check_options(q, mu, *, n=None, grid_points=None, tol=None) -> QParam:
     """Check the values the command has (None: it has no such option) and
     resolve the --q/--mu knob."""
     if (q is None) == (mu is None):
-        raise click.UsageError("provide exactly one of --q or --mu")
+        raise UsageError("provide exactly one of --q or --mu")
     try:
         qp = QParam.from_q(q) if q is not None else QParam.from_mu(mu)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
     if n is not None and n < 0:
-        raise click.UsageError(f"--n must be >= 0, got {n}")
+        raise UsageError(f"--n must be >= 0, got {n}")
     if grid_points is not None and grid_points < 8:
-        raise click.UsageError(f"--grid-points must be >= 8, got {grid_points}")
+        raise UsageError(f"--grid-points must be >= 8, got {grid_points}")
     if tol is not None and not (tol > 0.0):
-        raise click.UsageError(f"--tol must be positive, got {tol}")
+        raise UsageError(f"--tol must be positive, got {tol}")
     return qp
 
 
@@ -54,12 +146,13 @@ def emit(text: str, out: str | None) -> None:
     """Write text to --out, or to stdout; an unwritable --out is a usage error."""
     if out:
         try:
-            Path(out).write_text(text)
+            with open(out, "w") as f:
+                f.write(text)
         except OSError as exc:
-            click.echo(f"Error: cannot write {out}: {exc.strerror or exc}", err=True)
-            sys.exit(EXIT_USAGE)
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}")
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 @contextmanager
@@ -68,51 +161,30 @@ def numeric_exit():
     try:
         yield
     except (NonConvergenceError, ImaginaryResidueError, OverflowError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_NONCONVERGENT)
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc))
 
 
-Q = click.option("--q", "q", type=float, default=None,
-                 help="Deformation parameter q, 0 < q < 1.")
-MU = click.option("--mu", "mu", type=float, default=None,
-                  help="Width parameter mu = -ln(q)/2 > 0 (alias knob for q).")
-N = click.option("--n", "n", type=int, default=0, show_default=True, help="State index.")
-GRID = click.option("--grid-points", "grid_points", type=int, default=256, show_default=True,
-                    help="Uniform angle-grid resolution.")
-TOL = click.option("--tol", "tol", type=float, default=1e-12, show_default=True,
-                   help="Numerical tolerance for series truncation.")
-FORMAT = click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                      default="csv", show_default=True, help="Output format.")
-OUT = click.option("--out", "out", type=click.Path(dir_okay=False), default=None,
-                   help="Output file (default: stdout).")
+Q = ("--q", {"type": float, "help": "Deformation parameter q, 0 < q < 1."})
+MU = ("--mu", {"type": float, "help": "Width parameter mu = -ln(q)/2 > 0 (alias knob for q)."})
+N = ("--n", {"type": int, "default": 0, "help": "State index (default: %(default)s)."})
+GRID = ("--grid-points", {"type": int, "default": 256,
+                          "help": "Uniform angle-grid resolution (default: %(default)s)."})
+TOL = ("--tol", {"type": float, "default": 1e-12,
+                 "help": "Numerical tolerance for series truncation (default: %(default)s)."})
+FORMAT = ("--format", {"dest": "fmt", "choices": ("csv", "json"), "default": "csv",
+                       "help": "Output format (default: %(default)s)."})
+OUT = ("--out", {"help": "Output file (default: stdout)."})
 
+cli = Group("qps", """Phase-space tables for the q-deformed oscillator on the circle.
 
-def options(*opts):
-    """Apply click options so that --help lists them in the order given."""
-    def apply(f):
-        for opt in reversed(opts):
-            f = opt(f)
-        return f
-    return apply
-
-
-@click.group()
-@click.version_option(version="0.1.0", prog_name="qps")
-def cli():
-    """Phase-space tables for the q-deformed oscillator on the circle.
-
-    Examples:
-
-        qps poly --q 0.5 --n 3
-
-        qps angle-dist --n 1 --mu-list 0.1,0.5,1.0 --format csv
-
-        qps action-dist --q 0.5 --n 2 --m-range -2:6
-
-        qps verify --q 0.5 --n 10
-    """
+examples:
+  qps poly --q 0.5 --n 3
+  qps angle-dist --n 1 --mu-list 0.1,0.5,1.0 --format csv
+  qps action-dist --q 0.5 --n 2 --m-range -2:6
+  qps verify --q 0.5 --n 10""")
 
 
 def _abs_r_squared_row(k: int, grid: PhaseGrid, qp: QParam) -> list[float]:
@@ -127,8 +199,7 @@ def _abs_r_squared_row(k: int, grid: PhaseGrid, qp: QParam) -> list[float]:
     raise OverflowError(f"|R_k|^2 overflows double precision at k={k}, q={qp.q}")
 
 
-@cli.command()
-@options(Q, MU, N, GRID, FORMAT, OUT)
+@cli.command("poly", Q, MU, N, GRID, FORMAT, OUT)
 def poly(q, mu, n, grid_points, fmt, out):
     """Coefficients of H_0..H_n and |R_k(theta)|^2 sampled on the grid."""
     qp = check_options(q, mu, n=n, grid_points=grid_points)
@@ -157,8 +228,7 @@ def poly(q, mu, n, grid_points, fmt, out):
         emit(json.dumps(payload, indent=2) + "\n", out)
 
 
-@cli.command(name="theta")
-@options(Q, MU, GRID, TOL, FORMAT, OUT)
+@cli.command("theta", Q, MU, GRID, TOL, FORMAT, OUT)
 def theta_cmd(q, mu, grid_points, tol, fmt, out):
     """Jacobi theta_3 weight function sampled on the grid."""
     qp = check_options(q, mu, grid_points=grid_points, tol=tol)
@@ -185,22 +255,20 @@ def theta_cmd(q, mu, grid_points, tol, fmt, out):
         emit(json.dumps(payload, indent=2) + "\n", out)
 
 
-@cli.command(name="angle-dist")
-@options(Q, MU, N, GRID, TOL, FORMAT, OUT)
-@click.option("--mu-list", "mu_list", default=None,
-              help="Comma-separated mu values; emits one column per value.")
+@cli.command("angle-dist", Q, MU, N, GRID, TOL, FORMAT, OUT,
+             ("--mu-list", {"help": "Comma-separated mu values; emits one column per value."}))
 def angle_dist(q, mu, n, grid_points, tol, fmt, out, mu_list):
     """Angle marginal Omega^(n)(theta) = theta_3(theta) |R_n(theta)|^2."""
     if mu_list is not None:
         if q is not None or mu is not None:
-            raise click.UsageError("--mu-list replaces --q/--mu; do not combine them")
+            raise UsageError("--mu-list replaces --q/--mu; do not combine them")
         tokens = [t.strip() for t in mu_list.split(",")]
         if not all(tokens):
-            raise click.UsageError(f"--mu-list has an empty entry: {mu_list!r}")
+            raise UsageError(f"--mu-list has an empty entry: {mu_list!r}")
         try:
             params = [(f"mu={t}", QParam.from_mu(float(t))) for t in tokens]
         except ValueError as exc:
-            raise click.UsageError(f"bad --mu-list entry: {exc}")
+            raise UsageError(f"bad --mu-list entry: {exc}")
         check_options(None, params[0][1].mu, n=n, grid_points=grid_points, tol=tol)
     else:
         params = [("omega", check_options(q, mu, n=n, grid_points=grid_points, tol=tol))]
@@ -238,18 +306,18 @@ def _parse_m_range(spec: str) -> tuple[int, int]:
         lo_str, hi_str = spec.split(":")
         lo, hi = int(lo_str), int(hi_str)
     except ValueError:
-        raise click.UsageError(f"--m-range must be LO:HI with integers, got {spec!r}")
+        raise UsageError(f"--m-range must be LO:HI with integers, got {spec!r}")
     if hi < lo:
-        raise click.UsageError(f"--m-range is empty: {spec!r}")
+        raise UsageError(f"--m-range is empty: {spec!r}")
     return lo, hi
 
 
 # --grid-points changes nothing here, but the benchmark's action cells pass it;
 # it goes once they stop (ROADMAP open item 1)
-@cli.command(name="action-dist")
-@options(Q, MU, N, GRID, FORMAT, OUT)
-@click.option("--m-range", "m_range", default="-2:10", show_default=True,
-              help="Inclusive integer range LO:HI of action values.")
+@cli.command("action-dist", Q, MU, N, GRID, FORMAT, OUT,
+             ("--m-range", {"default": "-2:10",
+                            "help": "Inclusive integer range LO:HI of action values "
+                                    "(default: %(default)s)."}))
 def action_dist(q, mu, n, grid_points, fmt, out, m_range):
     """Action marginal Lambda^(n)(m) = delta_{m,n}; --grid-points does not change it."""
     qp = check_options(q, mu, n=n, grid_points=grid_points)
@@ -274,10 +342,9 @@ def action_dist(q, mu, n, grid_points, fmt, out, m_range):
         emit(json.dumps(payload, indent=2) + "\n", out)
 
 
-@cli.command(name="wigner")
-@options(Q, MU, N, GRID, TOL, FORMAT, OUT)
-@click.option("--m", "m", type=int, default=0, show_default=True,
-              help="Action index of the slice.")
+@cli.command("wigner", Q, MU, N, GRID, TOL, FORMAT, OUT,
+             ("--m", {"type": int, "default": 0,
+                      "help": "Action index of the slice (default: %(default)s)."}))
 def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
     """Wigner function O_n(m, theta) over the angle grid at fixed m."""
     qp = check_options(q, mu, n=n, grid_points=grid_points, tol=tol)
@@ -305,14 +372,13 @@ def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
         emit(json.dumps(payload, indent=2) + "\n", out)
 
 
-@cli.command()
-@options(
-    Q, MU,
-    click.option("--n", "n", type=int, default=10, show_default=True,
-                 help="Basis truncation n_max for the relation checks."),
+@cli.command(
+    "verify", Q, MU,
+    ("--n", {"type": int, "default": 10,
+             "help": "Basis truncation n_max for the relation checks (default: %(default)s)."}),
     GRID,
-    click.option("--tol", "tol", type=float, default=1e-10, show_default=True,
-                 help="Residual threshold for all relation checks."),
+    ("--tol", {"type": float, "default": 1e-10,
+               "help": "Residual threshold for all relation checks (default: %(default)s)."}),
     OUT,
 )
 def verify(q, mu, n, grid_points, tol, out):
@@ -323,12 +389,12 @@ def verify(q, mu, n, grid_points, tol, out):
     emit(json.dumps(report, indent=2) + "\n", out)
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
-        click.echo(f"verification failed: {', '.join(failing)}", err=True)
+        print(f"verification failed: {', '.join(failing)}", file=sys.stderr)
         sys.exit(EXIT_VERIFY_FAILED)
 
 
 def main():
-    cli(prog_name="qps")
+    cli.main(prog_name="qps")
 
 
 if __name__ == "__main__":

@@ -25,7 +25,8 @@ evaluated on H_nmax there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections import namedtuple
 
 from .qseries import QParam, qnumber
 
@@ -46,16 +47,20 @@ def apply_Adag_poly(p: tuple, qp: QParam) -> tuple:
                  for r in range(len(padded)))
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
-    """Scaled residuals of the two q identities on H_0 .. H_{n_max-1}."""
+class AlgebraReport(namedtuple(
+    "AlgebraReport",
+    "residuals passed failures classical_commutator_deviation",
+    defaults=(math.nan,),
+)):
+    """Scaled residuals of the two q identities on H_0 .. H_{n_max-1}.
 
-    residuals: dict[str, float]
-    passed: bool
-    failures: tuple[str, ...]
-    #: max deviation of [A, A+] from the identity on H_0 .. H_{n_max-1};
-    #: approaches 0 as q -> 1, where the undeformed oscillator is recovered
-    classical_commutator_deviation: float = field(default=float("nan"))
+    residuals maps each identity to its scaled residual, and failures names
+    those at or above tol.  classical_commutator_deviation is the largest
+    deviation of [A, A+] from the identity on H_0 .. H_{n_max-1}; it
+    approaches 0 as q -> 1, where the undeformed oscillator is recovered.
+    """
+
+    __slots__ = ()
 
 
 def verify_algebra(n_max: int, qp: QParam, tol: float) -> AlgebraReport:

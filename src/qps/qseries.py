@@ -14,34 +14,51 @@ ends of the q range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
 class QParam:
     """Deformation parameter pair (q, mu) with q = exp(-2*mu).
 
     The open interval 0 < q < 1 is enforced strictly; endpoints are rejected.
     Build instances with :meth:`from_q` or :meth:`from_mu` rather than the
-    raw constructor so the pair is derived consistently.
+    raw constructor so the pair is derived consistently.  Immutable, and equal
+    and hashed by value, so a QParam can key a cache.
     """
 
-    q: float
-    mu: float
+    __slots__ = ("q", "mu")
 
-    def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise ValueError(f"q must satisfy 0 < q < 1 strictly, got {self.q}")
-        if not (self.mu > 0.0) or not math.isfinite(self.mu):
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+    def __init__(self, q: float, mu: float):
+        if not (0.0 < q < 1.0):
+            raise ValueError(f"q must satisfy 0 < q < 1 strictly, got {q}")
+        if not (mu > 0.0) or not math.isfinite(mu):
+            raise ValueError(f"mu must be positive and finite, got {mu}")
         # exp(-2*mu) moves by ~2*mu ulps of q per ulp of mu, so exact 1-ulp
         # agreement is unattainable for large mu; allow the conditioning bound.
-        allowance = (4.0 + 8.0 * self.mu) * math.ulp(self.q)
-        if abs(self.q - math.exp(-2.0 * self.mu)) > allowance:
+        allowance = (4.0 + 8.0 * mu) * math.ulp(q)
+        if abs(q - math.exp(-2.0 * mu)) > allowance:
             raise ValueError(
-                f"inconsistent pair: q={self.q!r} vs exp(-2*mu)={math.exp(-2.0 * self.mu)!r}"
+                f"inconsistent pair: q={q!r} vs exp(-2*mu)={math.exp(-2.0 * mu)!r}"
             )
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "mu", mu)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"QParam is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"QParam is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not QParam:
+            return NotImplemented
+        return (self.q, self.mu) == (other.q, other.mu)
+
+    def __hash__(self):
+        return hash((self.q, self.mu))
+
+    def __repr__(self):
+        return f"QParam(q={self.q!r}, mu={self.mu!r})"
 
     @classmethod
     def from_q(cls, q: float) -> "QParam":

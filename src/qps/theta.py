@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NonConvergenceError
 from .qseries import QParam
@@ -44,13 +44,10 @@ class ThetaRepresentation(enum.Enum):
     GAUSSIAN_SUM = "gaussian_sum"
 
 
-@dataclass(frozen=True)
-class ThetaEval:
+class ThetaEval(namedtuple("ThetaEval", "value representation terms_used")):
     """One theta_3 evaluation: value, branch used, and term count."""
 
-    value: float
-    representation: ThetaRepresentation
-    terms_used: int
+    __slots__ = ()
 
 
 def _reduce_angle(phi: float) -> float:

@@ -16,9 +16,9 @@ from .qseries import QParam, qfactorial
 from .theta import theta3_gaussian, theta3_series
 from .wigner import (
     PhaseGrid,
+    _angle_columns,
     _theta3_bandwidth,
     action_distribution,
-    angle_table,
     carlitz_closed_form,
     carlitz_double_sum,
     orthogonality_quadrature,
@@ -101,8 +101,7 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
     })
 
     worst_norm = 0.0
-    for nn in {0, 1, n_check}:
-        values = angle_table(nn, qp, grid, quad_tol)
+    for values in _angle_columns(sorted({0, 1, n_check}), qp, grid, quad_tol):
         worst_norm = max(worst_norm, abs(grid.weight * sum(values) - 1.0))
     checks.append({
         "name": "angle_normalization",

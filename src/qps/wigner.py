@@ -55,7 +55,6 @@ import cmath
 import math
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from operator import mul
@@ -75,7 +74,6 @@ QUADRATURE_DPS = 35
 _QUAD_GUARD_BITS = 20
 
 
-@dataclass(frozen=True, eq=False)
 class PhaseGrid:
     """Uniform angle grid theta_k = -pi + 2 pi k / K with weights 1/K.
 
@@ -83,8 +81,11 @@ class PhaseGrid:
     the weights sum to 1 and the grid covers [-pi, pi) exactly once.
     """
 
-    points: tuple[float, ...]
-    weight: float
+    __slots__ = ("points", "weight")
+
+    def __init__(self, points: tuple[float, ...], weight: float):
+        self.points = points
+        self.weight = weight
 
     @classmethod
     def uniform(cls, k_points: int) -> "PhaseGrid":
@@ -666,15 +667,34 @@ def circular_variance(values: Sequence[float], grid: PhaseGrid) -> float:
     return 1.0 - abs(resultant) / total
 
 
+def _angle_columns(
+    ns: Sequence[int], qp: QParam, grid: PhaseGrid, tol: float
+) -> list[tuple[float, ...]]:
+    """Omega^(n) at each point of grid.points for each n of ns, each sample
+    as angle_distribution computes it; theta_3 does not depend on n, so it is
+    evaluated once per point.  OverflowError names the first n whose column
+    is not finite."""
+    for n in ns:
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+    columns = [[] for _ in ns]
+    for th in grid.points:
+        weight = theta3(th, qp, tol).value
+        for n, column in zip(ns, columns):
+            r = rs_function(n, th, qp)
+            column.append(weight * (r.real * r.real + r.imag * r.imag))
+    for n, column in zip(ns, columns):
+        if not all(map(math.isfinite, column)):
+            raise OverflowError(
+                f"angle marginal Omega^(n) is not finite in double precision at n={n}, q={qp.q}"
+            )
+    return [tuple(column) for column in columns]
+
+
 def angle_table(n: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12) -> tuple[float, ...]:
     """Omega^(n) at each point of grid.points; OverflowError if any sample
     is not finite."""
-    values = tuple(angle_distribution(n, th, qp, tol) for th in grid.points)
-    if not all(map(math.isfinite, values)):
-        raise OverflowError(
-            f"angle marginal Omega^(n) is not finite in double precision at n={n}, q={qp.q}"
-        )
-    return values
+    return _angle_columns((n,), qp, grid, tol)[0]
 
 
 def action_table(n: int, m_lo: int, m_hi: int, qp: QParam) -> tuple[float, ...]:

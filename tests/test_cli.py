@@ -1,5 +1,6 @@
 """CLI surface: formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from qps.cli import build_verify_report, cli
 
 runner = CliRunner()
 SRC = Path(__file__).resolve().parents[1] / "src"
+COMMANDS = ["poly", "theta", "angle-dist", "action-dist", "wigner", "verify"]
 
 
 def run(*args, env=None):
@@ -307,10 +309,81 @@ class TestConfigValidation:
         ("poly", "--tol"), ("theta", "--n"), ("action-dist", "--tol"),
     ])
     def test_rejects_option_the_command_does_not_read(self, command, option):
-        res = run(command, "--q", "0.5", option, "1")
-        assert res.exit_code == 2
-        assert f"No such option '{option}'" in res.stderr
+        for argv in ([option, "1"], [f"{option}=1"]):
+            res = run(command, "--q", "0.5", *argv)
+            assert res.exit_code == 2
+            assert res.stdout == ""
+            assert res.stderr == f"Error: No such option '{option}'\n"
+        assert option not in [flag for flag, _ in cli.commands[command].options]
         assert option not in run(command, "--help").stdout
+
+
+class TestUsageErrors:
+    """Every usage error exits 2 with empty stdout and one `Error:` line on stderr."""
+
+    @staticmethod
+    def assert_usage_error(res):
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("Error: "), res.stderr
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unknown_option_or_missing_value(self, command):
+        for argv in (["--bogus", "1"], ["--bogus=1"], ["--q"]):
+            res = run(command, "--q", "0.5", *argv)
+            self.assert_usage_error(res)
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify"])
+    def test_bad_format(self, command):
+        self.assert_usage_error(run(command, "--q", "0.5", "--format", "xml"))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_knob_both_or_neither(self, command):
+        for knobs in ([], ["--q", "0.5", "--mu", "0.3"]):
+            res = run(command, *knobs)
+            self.assert_usage_error(res)
+            assert res.stderr == "Error: provide exactly one of --q or --mu\n"
+
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "theta"])
+    def test_non_integer_n(self, command):
+        for value in ("1.5", "x", ""):
+            self.assert_usage_error(run(command, "--q", "0.5", "--n", value))
+
+    @pytest.mark.parametrize("argv", [[], ["nosuch"], ["--bogus"], ["--q", "0.5"]])
+    def test_no_command(self, argv):
+        self.assert_usage_error(run(*argv))
+
+    def test_version(self):
+        res = run("--version")
+        assert res.exit_code == 0
+        assert res.stdout == "qps, version 0.1.0\n"
+        assert res.stderr == ""
+
+
+class TestNegativeOptionValues:
+    """A value that starts with '-' is the option's value, not another option."""
+
+    # stdout digests pinned from the click front end, which read both forms
+    M_RANGE = "46d9d952baf742dfda451c6ce0e23fa4e8b663fc3184ddbf35bd2eb509f74560"
+    WIGNER = "1c76aa32426a473c212da1c821495d76c67e1c815b7808b97de163dfe0491682"
+
+    @pytest.mark.parametrize("argv", [["--m-range", "-2:4"], ["--m-range=-2:4"]])
+    def test_m_range(self, argv):
+        res = run("action-dist", "--q", "0.5", "--n", "2", *argv)
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == self.M_RANGE
+
+    @pytest.mark.parametrize("argv", [["--m", "-1"], ["--m=-1"]])
+    def test_wigner_negative_m(self, argv):
+        res = run("wigner", "--q", "0.5", "--n", "1", "--grid-points", "8", *argv)
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.stdout_bytes).hexdigest() == self.WIGNER
+
+    def test_negative_mu_is_a_value(self):
+        res = run("theta", "--mu", "-3")
+        assert res.exit_code == 2
+        assert res.stderr == "Error: mu must be positive and finite, got -3.0\n"
 
 
 class TestNonConvergenceExit:
@@ -366,7 +439,11 @@ class TestOutputPath:
     @pytest.mark.parametrize("args", [
         ("poly", "--q", "0.5", "--n", "1", "--grid-points", "8"),
         ("verify", "--q", "0.5", "--n", "3"),
-    ], ids=["poly", "verify"])
+        ("theta", "--q", "0.5", "--grid-points", "8"),
+        ("angle-dist", "--q", "0.5", "--grid-points", "8"),
+        ("action-dist", "--q", "0.5"),
+        ("wigner", "--q", "0.5", "--grid-points", "8"),
+    ], ids=lambda args: args[0])
     def test_missing_directory_is_usage_error(self, tmp_path, args):
         target = tmp_path / "missing" / "out.txt"
         res = run(*args, "--out", str(target))

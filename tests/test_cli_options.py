@@ -48,10 +48,10 @@ SETTINGS = {
 UNREAD = {("action-dist", "--grid-points")}
 
 PAIRS = sorted(
-    (name, param.opts[0])
+    (name, flag)
     for name, command in cli.commands.items()
-    for param in command.params
-    if (name, param.opts[0]) not in UNREAD
+    for flag, _ in command.options
+    if (name, flag) not in UNREAD
 )
 
 
@@ -70,7 +70,7 @@ def test_every_command_is_covered():
     assert {option for _, option in PAIRS} <= set(SETTINGS)
     for pair in UNREAD:
         name, option = pair
-        assert option in [p.opts[0] for p in cli.commands[name].params], pair
+        assert option in [flag for flag, _ in cli.commands[name].options], pair
 
 
 @pytest.mark.parametrize("command,option", PAIRS, ids=[f"{c} {o}" for c, o in PAIRS])

@@ -1,13 +1,14 @@
-"""No command loads mpmath, fractions or numpy, and only `qps verify` loads
-decimal.
+"""No command loads mpmath, fractions, numpy, click, dataclasses or inspect,
+and only `qps verify` loads decimal.
 
-Extended-precision modules and numpy cost start-up time and memory in every
-process that imports them.  The exact oracles run on Python integers; only
-the quadrature oracle of `qps verify` takes three constants from decimal, and
-mpmath and numpy are test-only dependencies.  These tests run the CLI in
-fresh interpreters, so the modules loaded by the test session itself cannot
-hide an eager import, and run the Wigner paths once with numpy made
-unimportable.
+Extended-precision modules, numpy and click cost start-up time and memory in
+every process that imports them, and `dataclasses` pulls in `inspect`.  The
+exact oracles run on Python integers; only the quadrature oracle of `qps
+verify` takes three constants from decimal, mpmath and numpy are test-only
+dependencies, and click is needed only by the tests' CliRunner.  These tests
+run the CLI in fresh interpreters, so the modules loaded by the test session
+itself cannot hide an eager import, and run the Wigner paths once with numpy
+made unimportable and every command once with click made unimportable.
 """
 
 import json
@@ -22,15 +23,18 @@ from qps import QParam
 ROOT = Path(__file__).resolve().parents[1]
 
 #: runs `import qps`, `import qps.cli` and then each command of argv[1] in
-#: one interpreter, and prints which watched modules are loaded after each
+#: one interpreter, and prints which watched modules qps has loaded after each
+#: (a module the interpreter loaded before qps does not count)
 CHILD = r"""
 import contextlib, io, json, sys
 
-WATCHED = ("mpmath", "fractions", "decimal", "numpy")
+WATCHED = ("mpmath", "fractions", "decimal", "numpy", "click", "dataclasses", "inspect")
+preloaded = set(sys.modules)
 loaded = {}
 
 def record(label):
-    loaded[label] = [name for name in WATCHED if name in sys.modules]
+    loaded[label] = [name for name in WATCHED
+                     if name in sys.modules and name not in preloaded]
 
 import qps
 record("import qps")
@@ -58,6 +62,24 @@ COMMANDS = [
 WIGNER = ["wigner", "--q", "0.5", "--n", "1", "--m", "1", "--grid-points", "16"]
 
 
+#: runs each command of argv[1] with click unimportable and prints the exit
+#: codes and outputs
+WITHOUT_CLICK = r"""
+import contextlib, io, json, sys
+
+sys.modules["click"] = None
+import qps.cli
+
+codes, outputs = {}, {}
+for args in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes[args[0]] = qps.cli.cli.main(args, prog_name="qps", standalone_mode=False)
+    outputs[args[0]] = out.getvalue()
+print(json.dumps({"codes": codes, "outputs": outputs}))
+"""
+
+
 def _run_child(child: str, arg: str) -> dict:
     """Runs the child script with argv[1] = arg and parses its last line."""
     env = dict(os.environ)
@@ -81,6 +103,17 @@ def test_only_verify_loads_the_oracle_modules():
         assert modules == [], label
     assert verify_loaded == ["decimal"]
     assert json.loads(result["outputs"]["verify"])["passed"] is True
+
+
+def test_no_command_loads_click():
+    # click is a test-only dependency: with it unimportable every command
+    # still runs and prints what it prints when click is installed
+    commands = [*COMMANDS, WIGNER]
+    with_click = _run_child(CHILD, json.dumps(commands))["outputs"]
+    without = _run_child(WITHOUT_CLICK, json.dumps(commands))
+    assert without["codes"] == {args[0]: 0 for args in commands}
+    assert without["outputs"] == with_click
+    assert all(without["outputs"].values())
 
 
 def test_no_command_loads_numpy():

@@ -42,6 +42,26 @@ class TestQParam:
         # conditioning bound: exp(-2 mu) moves ~2 mu ulps of q per ulp of mu
         assert abs(qp.q - math.exp(-2.0 * qp.mu)) <= (4 + 8 * qp.mu) * math.ulp(qp.q)
 
+    def test_equal_and_hashed_by_value(self):
+        # QParam keys the _qbinomial_row cache, so equal pairs must hit it
+        a, b = QParam.from_q(0.5), QParam.from_q(0.5)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != QParam.from_q(0.25) and a != (a.q, a.mu)
+        assert repr(a) == f"QParam(q=0.5, mu={a.mu!r})"
+        _qbinomial_row.cache_clear()
+        assert _qbinomial_row(6, a) is _qbinomial_row(6, b)
+        assert _qbinomial_row.cache_info().hits == 1
+
+    def test_immutable(self):
+        qp = QParam.from_q(0.5)
+        with pytest.raises(AttributeError):
+            qp.q = 0.25
+        with pytest.raises(AttributeError):
+            del qp.mu
+        with pytest.raises(AttributeError):
+            qp.extra = 1
+        assert qp.q == 0.5
+
     def test_one_minus_qpow_near_one(self):
         qp = QParam.from_q(1 - 1e-8)
         # 1 - q^3 = 3e-8 - 3e-16 + ... ; plain 1 - q**3 would lose digits

@@ -58,7 +58,7 @@ def test_op_peak_rss_reports_vmhwm_and_stdout_digest():
     )
     report = dict(line.split() for line in proc.stdout.splitlines())
     assert report["stdout_sha256"] == hashlib.sha256(direct.stdout).hexdigest()
-    # an interpreter with qps and click loaded holds well over 5 MB
+    # an interpreter with qps loaded holds well over 5 MB
     assert 5.0 < float(report["peak_rss_mb"]) < 1000.0
     failed = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "op_peak_rss.py"), "verify", "--q", "2"],

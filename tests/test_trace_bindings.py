@@ -61,10 +61,51 @@ def test_verify_report_and_its_layers_are_traced(tracer, capsys):
                          standalone_mode=False)
     finally:
         tr.uninstall()
-    assert json.loads(capsys.readouterr().out)["passed"] is True
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is True
     totals = tr.totals()
     assert totals["cli.build_verify_report"]["calls"] == 1
     for name in ("wigner.carlitz_double_sum", "wigner.orthogonality_quadrature",
-                 "qalgebra.verify_algebra", "wigner.angle_table"):
+                 "qalgebra.verify_algebra", "rspoly.rs_function"):
         assert totals.get(name, {"calls": 0})["calls"] > 0, name
+    # the angle check evaluates theta_3 once per grid point for all its n
+    grid_points = report["checks"][1]["quadrature_grid_points"]
+    assert totals["theta.theta3"]["calls"] == grid_points
     assert qps.verify.carlitz_double_sum is qps.wigner.carlitz_double_sum
+
+
+#: one op per command, in the argv form the benchmark's op streams use
+REPLAY = [
+    ["poly", "--q", "0.5", "--n", "3", "--grid-points", "16", "--format", "json"],
+    ["theta", "--mu", "3", "--grid-points", "16"],
+    ["angle-dist", "--n", "2", "--mu-list", "0.1,0.5", "--grid-points", "16"],
+    ["action-dist", "--q", "0.5", "--n", "2", "--m-range", "-2:4", "--grid-points", "64"],
+    ["wigner", "--q", "0.5", "--n", "2", "--m", "2", "--grid-points", "16"],
+    ["verify", "--q", "0.5", "--n", "3"],
+]
+
+
+def test_traced_replay_matches_untraced(tracer):
+    # replays ops as `perfbench/run.py --trace 1` does: through CliRunner, with
+    # the tracer wrapping each command's callback in qps.cli.cli.commands
+    from click.testing import CliRunner
+
+    def replay():
+        runner = CliRunner()
+        results = [runner.invoke(qps.cli.cli, argv, prog_name="qps") for argv in REPLAY]
+        return [(r.exit_code, r.stdout_bytes) for r in results]
+
+    assert sorted(argv[0] for argv in REPLAY) == sorted(qps.cli.cli.commands)
+    plain = replay()
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        traced = replay()
+    finally:
+        tr.uninstall()
+    assert traced == plain
+    assert all(code == 0 and out for code, out in plain)
+    totals = tr.totals()
+    for argv in REPLAY:
+        assert totals[f"cli.{argv[0]}"]["calls"] == 1, argv[0]
+    assert totals["cli.json.dumps"]["calls"] == 2
