@@ -13,7 +13,7 @@ import argparse
 import math
 from pathlib import Path
 
-from qps import PhaseGrid, QParam, angle_table, circular_variance
+from qps import QParam, angle_table, circular_variance, phase_grid
 
 
 def main():
@@ -25,11 +25,11 @@ def main():
     parser.add_argument("--out", type=Path, default=None, help="CSV path (default: stdout)")
     args = parser.parse_args()
 
-    grid = PhaseGrid.uniform(args.grid_points)
+    grid = phase_grid(args.grid_points)
     tables = [angle_table(args.n, QParam.from_mu(mu), grid) for mu in args.mu]
 
     lines = ["theta," + ",".join(f"mu={mu:g}" for mu in args.mu)]
-    for i, theta in enumerate(grid.points):
+    for i, theta in enumerate(grid):
         row = [f"{theta:.17g}"] + [f"{t[i]:.17g}" for t in tables]
         lines.append(",".join(row))
     text = "\n".join(lines) + "\n"

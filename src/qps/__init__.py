@@ -35,7 +35,6 @@ from .theta import (
     theta3_series,
 )
 from .wigner import (
-    PhaseGrid,
     action_distribution,
     action_table,
     angle_distribution,
@@ -45,6 +44,7 @@ from .wigner import (
     carlitz_double_sum,
     circular_variance,
     orthogonality_quadrature,
+    phase_grid,
     sinc_kernel,
     wigner_eval,
     wigner_grid,
@@ -58,7 +58,6 @@ __all__ = [
     "ImaginaryResidueError",
     "MU_SWITCH",
     "NonConvergenceError",
-    "PhaseGrid",
     "QParam",
     "ResolutionWarning",
     "ThetaEval",
@@ -74,6 +73,7 @@ __all__ = [
     "circular_variance",
     "jackson_derivative",
     "orthogonality_quadrature",
+    "phase_grid",
     "qbinomial",
     "qfactorial",
     "qnumber",

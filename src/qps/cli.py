@@ -19,7 +19,7 @@ from .qseries import QParam
 from .rspoly import rs_coefficients, rs_function
 from .theta import theta3
 from .verify import build_verify_report
-from .wigner import PhaseGrid, _t_cutoff, action_table, angle_table, wigner_grid
+from .wigner import _t_cutoff, action_table, angle_table, phase_grid, wigner_grid
 
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
@@ -187,9 +187,9 @@ examples:
   qps verify --q 0.5 --n 10""")
 
 
-def _abs_r_squared_row(k: int, grid: PhaseGrid, qp: QParam) -> list[float]:
+def _abs_r_squared_row(k: int, grid: tuple[float, ...], qp: QParam) -> list[float]:
     """|R_k(theta)|^2 over the grid; OverflowError naming |R_k|^2 past double range."""
-    moduli = [abs(rs_function(k, th, qp)) for th in grid.points]
+    moduli = [abs(rs_function(k, th, qp)) for th in grid]
     try:
         row = [r ** 2 for r in moduli]
         if all(map(math.isfinite, row)):
@@ -204,14 +204,14 @@ def poly(q, mu, n, grid_points, fmt, out):
     """Coefficients of H_0..H_n and |R_k(theta)|^2 sampled on the grid."""
     qp = check_options(q, mu, n=n, grid_points=grid_points)
     with numeric_exit():
-        grid = PhaseGrid.uniform(grid_points)
+        grid = phase_grid(grid_points)
         coeff_rows = [[float(c) for c in rs_coefficients(k, qp)] for k in range(n + 1)]
         r2 = [_abs_r_squared_row(k, grid, qp) for k in range(n + 1)]
     if fmt == "csv":
         lines = [",".join(fnum(c) for c in row) for row in coeff_rows]
         lines.append("")
         lines.append("theta," + ",".join(f"R2_{k}" for k in range(n + 1)))
-        for i, th in enumerate(grid.points):
+        for i, th in enumerate(grid):
             lines.append(",".join([fnum(th)] + [fnum(r2[k][i]) for k in range(n + 1)]))
         emit("\n".join(lines) + "\n", out)
     else:
@@ -222,7 +222,7 @@ def poly(q, mu, n, grid_points, fmt, out):
             "n": n,
             "grid_points": grid_points,
             "coefficients": coeff_rows,
-            "theta": list(grid.points),
+            "theta": list(grid),
             "abs_r_squared": r2,
         }
         emit(json.dumps(payload, indent=2) + "\n", out)
@@ -233,11 +233,11 @@ def theta_cmd(q, mu, grid_points, tol, fmt, out):
     """Jacobi theta_3 weight function sampled on the grid."""
     qp = check_options(q, mu, grid_points=grid_points, tol=tol)
     with numeric_exit():
-        grid = PhaseGrid.uniform(grid_points)
-        evals = [theta3(th, qp, tol) for th in grid.points]
+        grid = phase_grid(grid_points)
+        evals = [theta3(th, qp, tol) for th in grid]
     if fmt == "csv":
         lines = ["theta,theta3"]
-        for th, ev in zip(grid.points, evals):
+        for th, ev in zip(grid, evals):
             lines.append(f"{fnum(th)},{fnum(ev.value)}")
         emit("\n".join(lines) + "\n", out)
     else:
@@ -249,7 +249,7 @@ def theta_cmd(q, mu, grid_points, tol, fmt, out):
             "tol": tol,
             "representation": evals[0].representation.value,
             "terms_used": [ev.terms_used for ev in evals],
-            "theta": list(grid.points),
+            "theta": list(grid),
             "values": [ev.value for ev in evals],
         }
         emit(json.dumps(payload, indent=2) + "\n", out)
@@ -273,11 +273,11 @@ def angle_dist(q, mu, n, grid_points, tol, fmt, out, mu_list):
     else:
         params = [("omega", check_options(q, mu, n=n, grid_points=grid_points, tol=tol))]
     with numeric_exit():
-        grid = PhaseGrid.uniform(grid_points)
+        grid = phase_grid(grid_points)
         tables = [angle_table(n, qp, grid, tol) for _, qp in params]
     if fmt == "csv":
         lines = ["theta," + ",".join(label for label, _ in params)]
-        for i, th in enumerate(grid.points):
+        for i, th in enumerate(grid):
             lines.append(",".join([fnum(th)] + [fnum(t[i]) for t in tables]))
         emit("\n".join(lines) + "\n", out)
     else:
@@ -286,7 +286,7 @@ def angle_dist(q, mu, n, grid_points, tol, fmt, out, mu_list):
             "n": n,
             "grid_points": grid_points,
             "tol": tol,
-            "theta": list(grid.points),
+            "theta": list(grid),
             "columns": [
                 {
                     "label": label,
@@ -349,11 +349,11 @@ def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
     """Wigner function O_n(m, theta) over the angle grid at fixed m."""
     qp = check_options(q, mu, n=n, grid_points=grid_points, tol=tol)
     with numeric_exit():
-        grid = PhaseGrid.uniform(grid_points)
+        grid = phase_grid(grid_points)
         values = wigner_grid(n, m, qp, grid, tol)
     if fmt == "csv":
         lines = ["theta,wigner"]
-        for th, v in zip(grid.points, values):
+        for th, v in zip(grid, values):
             lines.append(f"{fnum(th)},{fnum(v)}")
         emit("\n".join(lines) + "\n", out)
     else:
@@ -366,7 +366,7 @@ def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
             "grid_points": grid_points,
             "tol": tol,
             "t_cutoff": _t_cutoff(qp.mu, tol),
-            "theta": list(grid.points),
+            "theta": list(grid),
             "values": list(values),
         }
         emit(json.dumps(payload, indent=2) + "\n", out)

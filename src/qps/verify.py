@@ -15,13 +15,13 @@ from .qalgebra import verify_algebra
 from .qseries import QParam, qfactorial
 from .theta import theta3_gaussian, theta3_series
 from .wigner import (
-    PhaseGrid,
     _angle_columns,
     _theta3_bandwidth,
     action_distribution,
     carlitz_closed_form,
     carlitz_double_sum,
     orthogonality_quadrature,
+    phase_grid,
 )
 
 
@@ -43,14 +43,13 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
     quad_tol = min(tol, 1e-12)
     bandwidth = _theta3_bandwidth(qp.mu, quad_tol)
     k_quad = max(grid_points, 2 ** math.ceil(math.log2(4 * 2 * top + 2 * bandwidth + 2)))
-    grid = PhaseGrid.uniform(k_quad)
     # all three routes are symmetric in (m, n) bitwise, so one triangle suffices
     worst_tri = 0.0
     for m in range(top + 1):
         for nn in range(m, top + 1):
             closed = carlitz_closed_form(m, nn, qp)
             dsum = carlitz_double_sum(m, nn, qp)
-            quad = orthogonality_quadrature(m, nn, qp, grid, tol=quad_tol)
+            quad = orthogonality_quadrature(m, nn, qp, k_quad, tol=quad_tol)
             scale = max(1.0, abs(closed))
             worst_tri = max(
                 worst_tri,
@@ -101,8 +100,8 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
     })
 
     worst_norm = 0.0
-    for values in _angle_columns(sorted({0, 1, n_check}), qp, grid, quad_tol):
-        worst_norm = max(worst_norm, abs(grid.weight * sum(values) - 1.0))
+    for values in _angle_columns(sorted({0, 1, n_check}), qp, phase_grid(k_quad), quad_tol):
+        worst_norm = max(worst_norm, abs(1.0 / k_quad * sum(values) - 1.0))
     checks.append({
         "name": "angle_normalization",
         "max_residual": worst_norm,

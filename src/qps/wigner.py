@@ -25,12 +25,14 @@ marginals, the n = 0 case, and all closed forms unchanged.
 
 Production code assembles the sum once, as a folded cosine spectrum in theta
 (_wigner_spectrum), and the theta-resolved quantities are views on it:
-wigner_eval evaluates it at one angle, wigner_grid sums its cosine series at
-each grid point (O(K + F) memory for K angles and F frequencies), and
-angle_distribution_from_wigner swaps the sinc kernel for its summed action
-window.  action_distribution sums only the finite f = 0 slice, directly.
-Results are plain floats: wigner_eval returns one, and angle_table and
-action_table return a tuple, one value per grid point or per m.
+wigner_grid sums its cosine series at each angle of a sequence (O(K + F)
+memory for K angles and F frequencies), and angle_distribution_from_wigner
+swaps the sinc kernel for its summed action window.  action_distribution
+sums only the finite f = 0 slice, directly.  Angles are plain sequences of
+floats, usually the tuple phase_grid(K); wigner_eval and angle_distribution
+are wigner_grid and angle_table at one angle.  Results are plain floats:
+wigner_eval returns one, and wigner_grid, angle_table and action_table
+return a tuple, one value per angle or per m.
 Each frequency slice of the spectrum is summed exactly by one math.fsum, and
 so are the rounded products amp_f cos(f theta) of each cosine series.  The
 raw one-sided sums in wigner_one_sided are the independent loop that
@@ -74,29 +76,15 @@ QUADRATURE_DPS = 35
 _QUAD_GUARD_BITS = 20
 
 
-class PhaseGrid:
-    """Uniform angle grid theta_k = -pi + 2 pi k / K with weights 1/K.
+def phase_grid(k_points: int) -> tuple[float, ...]:
+    """Uniform angle grid theta_k = -pi + 2 pi k / K, k = 0..K-1.
 
-    The weighted sum over the grid implements the measure d(theta)/(2 pi);
-    the weights sum to 1 and the grid covers [-pi, pi) exactly once.
+    It covers [-pi, pi) exactly once; a sum over it weighted by 1/K
+    implements the measure d(theta)/(2 pi).
     """
-
-    __slots__ = ("points", "weight")
-
-    def __init__(self, points: tuple[float, ...], weight: float):
-        self.points = points
-        self.weight = weight
-
-    @classmethod
-    def uniform(cls, k_points: int) -> "PhaseGrid":
-        if k_points < 2:
-            raise ValueError(f"need at least 2 grid points, got {k_points}")
-        points = tuple(-math.pi + 2.0 * math.pi * k / k_points for k in range(k_points))
-        return cls(points, 1.0 / k_points)
-
-    @property
-    def k_points(self) -> int:
-        return len(self.points)
+    if k_points < 2:
+        raise ValueError(f"need at least 2 grid points, got {k_points}")
+    return tuple(-math.pi + 2.0 * math.pi * k / k_points for k in range(k_points))
 
 
 def sinc_kernel(m: int, c2: int) -> float:
@@ -367,9 +355,10 @@ def _mp_quad_tables(q: float, k_points: int, n_top: int):
 
 
 def orthogonality_quadrature(
-    m: int, n: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12
+    m: int, n: int, qp: QParam, k_points: int, tol: float = 1e-12
 ) -> float:
-    """I_mn by trapezoidal quadrature of H_m H_n^* theta_3 over the grid.
+    """I_mn by trapezoidal quadrature of H_m H_n^* theta_3 over the uniform
+    k_points-point grid of phase_grid.
 
     The integrand is periodic and band-limited up to m + n plus the theta_3
     bandwidth at tol, so the uniform trapezoid rule converges spectrally; a
@@ -383,7 +372,6 @@ def orthogonality_quadrature(
         raise ValueError(f"m, n must be >= 0, got m={m}, n={n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    k_points = grid.k_points
     bandwidth = m + n + _theta3_bandwidth(qp.mu, tol)
     if bandwidth > k_points // 2 - 1:
         warnings.warn(
@@ -499,19 +487,15 @@ def _wigner_spectrum(
 
 
 def wigner_eval(n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12) -> float:
-    """O_n(m, theta) with the t-sum truncated at exp(-mu t^2) ~ tol.
+    """O_n(m, theta) with the t-sum truncated at exp(-mu t^2) ~ tol: wigner_grid
+    at the one angle theta.
 
     The shift-averaged kernel pairs every term with its conjugate, so the
     assembled value must be real up to truncation and rounding; an imaginary
     residue at or above tol raises ImaginaryResidueError (an implementation
     check, not a data condition), and the residue is discarded otherwise.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    pref, freqs, amps = _wigner_spectrum(n, qp, tol, partial(sinc_kernel, m))
-    return pref * _cosine_series(freqs, amps, theta)
+    return wigner_grid(n, m, qp, (theta,), tol)[0]
 
 
 def wigner_one_sided(
@@ -558,21 +542,21 @@ def _cosine_series(freqs: Sequence[int], amps: Sequence[float], theta: float) ->
 
 
 def wigner_grid(
-    n: int, m: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12
+    n: int, m: int, qp: QParam, thetas: Sequence[float], tol: float = 1e-12
 ) -> tuple[float, ...]:
-    """O_n(m, theta_k) over a full phase grid: one spectrum pass, then the
-    F-term cosine series summed at each grid point, instead of K independent
+    """O_n(m, theta) at each angle of thetas: one spectrum pass, then the
+    F-term cosine series summed at each angle, instead of K independent
     triple sums.
 
-    Each sample is pref * math.fsum(amp_f cos(f theta_k)) at the grid's own
-    float points, the same expression as wigner_eval, so memory is O(K + F).
+    Each sample is pref * math.fsum(amp_f cos(f theta)), so memory is
+    O(K + F) for K angles and F frequencies.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     pref, freqs, amps = _wigner_spectrum(n, qp, tol, partial(sinc_kernel, m))
-    return tuple(pref * _cosine_series(freqs, amps, theta) for theta in grid.points)
+    return tuple(pref * _cosine_series(freqs, amps, theta) for theta in thetas)
 
 
 def action_distribution(n: int, m: int, qp: QParam) -> float:
@@ -603,16 +587,15 @@ def action_distribution(n: int, m: int, qp: QParam) -> float:
 
 
 def angle_distribution(n: int, theta: float, qp: QParam, tol: float = 1e-12) -> float:
-    """Angle marginal Omega^(n)(theta) = theta_3(theta) |R_n(theta)|^2.
+    """Angle marginal Omega^(n)(theta) = theta_3(theta) |R_n(theta)|^2:
+    angle_table at the one angle theta, so OverflowError if it is not finite.
 
-    Strictly positive: theta_3 > 0 and the Rogers-Szego zeros sit on the
-    unit circle while |y| = q^{-1/2} > 1 on the evaluation circle.
+    Positive in exact arithmetic: theta_3 > 0 and the Rogers-Szego zeros sit
+    on the unit circle while |y| = q^{-1/2} > 1 on the evaluation circle.  In
+    double precision theta_3 underflows to 0.0 far from theta = 0 as q -> 1,
+    and Omega with it (0.0 at q = 0.9999, n = 100, theta = 2.0).
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    weight = theta3(theta, qp, tol).value
-    r = rs_function(n, theta, qp)
-    return weight * (r.real * r.real + r.imag * r.imag)
+    return angle_table(n, qp, (theta,), tol)[0]
 
 
 def _one_sided_partials(count: int) -> list[float]:
@@ -656,29 +639,29 @@ def angle_distribution_from_wigner(
     return pref * _cosine_series(freqs, amps, theta)
 
 
-def circular_variance(values: Sequence[float], grid: PhaseGrid) -> float:
-    """Circular variance 1 - |<e^{i theta}>| of a density sampled on the grid;
-    smaller means a narrower angle distribution."""
-    total = grid.weight * math.fsum(values)
-    resultant = grid.weight * complex(
-        math.fsum(map(mul, values, map(math.cos, grid.points))),
-        math.fsum(map(mul, values, map(math.sin, grid.points))),
+def circular_variance(values: Sequence[float], thetas: Sequence[float]) -> float:
+    """Circular variance 1 - |<e^{i theta}>| of a density sampled on the uniform
+    grid thetas (phase_grid); smaller means a narrower angle distribution."""
+    weight = 1.0 / len(thetas)
+    total = weight * math.fsum(values)
+    resultant = weight * complex(
+        math.fsum(map(mul, values, map(math.cos, thetas))),
+        math.fsum(map(mul, values, map(math.sin, thetas))),
     )
     return 1.0 - abs(resultant) / total
 
 
 def _angle_columns(
-    ns: Sequence[int], qp: QParam, grid: PhaseGrid, tol: float
+    ns: Sequence[int], qp: QParam, thetas: Sequence[float], tol: float
 ) -> list[tuple[float, ...]]:
-    """Omega^(n) at each point of grid.points for each n of ns, each sample
-    as angle_distribution computes it; theta_3 does not depend on n, so it is
-    evaluated once per point.  OverflowError names the first n whose column
-    is not finite."""
+    """Omega^(n) = theta_3 |R_n|^2 at each angle of thetas for each n of ns;
+    theta_3 does not depend on n, so it is evaluated once per angle.
+    OverflowError names the first n whose column is not finite."""
     for n in ns:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
     columns = [[] for _ in ns]
-    for th in grid.points:
+    for th in thetas:
         weight = theta3(th, qp, tol).value
         for n, column in zip(ns, columns):
             r = rs_function(n, th, qp)
@@ -691,10 +674,12 @@ def _angle_columns(
     return [tuple(column) for column in columns]
 
 
-def angle_table(n: int, qp: QParam, grid: PhaseGrid, tol: float = 1e-12) -> tuple[float, ...]:
-    """Omega^(n) at each point of grid.points; OverflowError if any sample
-    is not finite."""
-    return _angle_columns((n,), qp, grid, tol)[0]
+def angle_table(
+    n: int, qp: QParam, thetas: Sequence[float], tol: float = 1e-12
+) -> tuple[float, ...]:
+    """Omega^(n) at each angle of thetas; OverflowError if any sample is not
+    finite."""
+    return _angle_columns((n,), qp, thetas, tol)[0]
 
 
 def action_table(n: int, m_lo: int, m_hi: int, qp: QParam) -> tuple[float, ...]:

@@ -12,7 +12,6 @@ import numpy as np
 from click.testing import CliRunner
 
 from qps import (
-    PhaseGrid,
     QParam,
     action_distribution,
     angle_distribution,
@@ -24,6 +23,7 @@ from qps import (
     circular_variance,
     jackson_derivative,
     orthogonality_quadrature,
+    phase_grid,
     qnumber,
     rs_coefficients,
     theta3,
@@ -36,7 +36,8 @@ from qps import (
 from qps.cli import cli
 
 Q_TRIO = (0.1, 0.5, 0.9)
-GRID = PhaseGrid.uniform(256)
+GRID_POINTS = 256
+GRID = phase_grid(GRID_POINTS)
 
 
 def report(num: int, ok: bool, detail: str):
@@ -57,7 +58,7 @@ def test_criterion_01_orthogonality_triangle():
                 routes = (
                     carlitz_double_sum(m, n, qp),
                     carlitz_closed_form(m, n, qp),
-                    orthogonality_quadrature(m, n, qp, GRID, 1e-12),
+                    orthogonality_quadrature(m, n, qp, GRID_POINTS, 1e-12),
                 )
                 for i in range(3):
                     for j in range(i + 1, 3):
@@ -161,7 +162,7 @@ def test_criterion_05_normalization():
         qp = QParam.from_q(q)
         for n in range(7):
             table = angle_table(n, qp, GRID, 1e-12)
-            worst_angle = max(worst_angle, abs(GRID.weight * float(np.sum(table)) - 1.0))
+            worst_angle = max(worst_angle, abs(float(np.sum(table)) / GRID_POINTS - 1.0))
         total = sum(action_distribution(3, m, qp) for m in range(-2, 11))
         worst_action = max(worst_action, abs(total - 1.0))
     report(

@@ -142,7 +142,7 @@ for fmt in ("csv", "json"):
                   "--format", fmt], prog_name="qps", standalone_mode=False)
     report[fmt] = out.getvalue()
 qp = qps.QParam.from_q(0.5)
-grid = qps.PhaseGrid.uniform(64)
+grid = qps.phase_grid(64)
 report["wigner_eval"] = qps.wigner_eval(2, 2, 0.3, qp)
 report["from_wigner"] = qps.angle_distribution_from_wigner(2, 0.3, qp, m_cut=40)
 report["angle"] = qps.angle_distribution(2, 0.3, qp)

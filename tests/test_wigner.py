@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qps import (
-    PhaseGrid,
     QParam,
     ResolutionWarning,
     action_distribution,
@@ -21,6 +20,7 @@ from qps import (
     carlitz_double_sum,
     circular_variance,
     orthogonality_quadrature,
+    phase_grid,
     qfactorial,
     sinc_kernel,
     theta3,
@@ -30,7 +30,8 @@ from qps import (
 )
 
 Q_TRIO = (0.1, 0.5, 0.9)
-GRID = PhaseGrid.uniform(256)
+GRID_POINTS = 256
+GRID = phase_grid(GRID_POINTS)
 
 
 def naive_sinc(d: float) -> float:
@@ -40,22 +41,18 @@ def naive_sinc(d: float) -> float:
     return math.sin(math.pi * d) / (math.pi * d)
 
 
-class TestPhaseGrid:
+class TestUniformGrid:
     def test_uniform_coverage(self):
-        g = PhaseGrid.uniform(64)
-        assert g.k_points == 64
-        assert g.points[0] == -math.pi
-        assert g.points[-1] < math.pi
-        steps = np.diff(g.points)
+        g = phase_grid(64)
+        assert len(g) == 64
+        assert g[0] == -math.pi
+        assert g[-1] < math.pi
+        steps = np.diff(g)
         assert np.allclose(steps, 2 * math.pi / 64, rtol=0, atol=1e-15)
-
-    def test_weights_sum_to_one(self):
-        g = PhaseGrid.uniform(100)
-        assert g.weight * g.k_points == pytest.approx(1.0, abs=1e-15)
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):
-            PhaseGrid.uniform(1)
+            phase_grid(1)
 
 
 def numpy_grid(k_points: int) -> np.ndarray:
@@ -73,7 +70,7 @@ class TestPlainContainers:
 
     @pytest.mark.parametrize("k_points", (2, 3, 8, 255, 1024, 4099, 65536))
     def test_grid_points_match_numpy_build(self, k_points):
-        points = PhaseGrid.uniform(k_points).points
+        points = phase_grid(k_points)
         assert type(points) is tuple
         assert all(type(th) is float for th in points)
         assert hex_list(points) == hex_list(numpy_grid(k_points).tolist())
@@ -82,7 +79,7 @@ class TestPlainContainers:
                                               (12, 0.99, 128), (2, 0.9999, 64)])
     def test_angle_table_matches_pointwise(self, n, q, k_points):
         qp = QParam.from_q(q)
-        table = angle_table(n, qp, PhaseGrid.uniform(k_points))
+        table = angle_table(n, qp, phase_grid(k_points))
         assert type(table) is tuple
         assert all(type(v) is float for v in table)
         want = [angle_distribution(n, th, qp) for th in numpy_grid(k_points)]
@@ -101,10 +98,10 @@ class TestPlainContainers:
     @pytest.mark.parametrize("n,m,q", [(0, 0, 0.5), (3, 2, 0.1), (6, 8, 0.9)])
     def test_wigner_eval_is_the_grid_float(self, n, m, q):
         qp = QParam.from_q(q)
-        grid = PhaseGrid.uniform(16)
+        grid = phase_grid(16)
         row = wigner_grid(n, m, qp, grid)
         for k in (0, 5, 11):
-            value = wigner_eval(n, m, grid.points[k], qp)
+            value = wigner_eval(n, m, grid[k], qp)
             assert type(value) is float
             assert value.hex() == row[k].hex()
 
@@ -164,7 +161,7 @@ class TestCarlitzRoutes:
         qp = QParam.from_q(q)
         for m in range(11):
             for n in range(11):
-                quad = orthogonality_quadrature(m, n, qp, GRID, 1e-12)
+                quad = orthogonality_quadrature(m, n, qp, GRID_POINTS, 1e-12)
                 closed = carlitz_closed_form(m, n, qp)
                 assert abs(quad - closed) <= 1e-10 * max(1.0, abs(closed))
 
@@ -174,14 +171,14 @@ class TestCarlitzRoutes:
         # cancel terms of size ~q^{-10}, down to zero
         qp = QParam.from_q(q)
         bandwidth = math.ceil(math.sqrt(math.log(1e12) / qp.mu))
-        grid = PhaseGrid.uniform(max(256, 2 ** math.ceil(math.log2(8 * 10 + 2 * bandwidth + 2))))
+        k_quad = max(256, 2 ** math.ceil(math.log2(8 * 10 + 2 * bandwidth + 2)))
         for m in range(11):
             for n in range(m + 1):
-                quad = orthogonality_quadrature(m, n, qp, grid)
+                quad = orthogonality_quadrature(m, n, qp, k_quad)
                 closed = carlitz_closed_form(m, n, qp)
                 assert abs(quad - closed) / max(1.0, abs(closed)) < 1e-13, (m, n)
                 # the integer sum is exact, so the swap is bitwise
-                assert orthogonality_quadrature(n, m, qp, grid) == quad, (m, n)
+                assert orthogonality_quadrature(n, m, qp, k_quad) == quad, (m, n)
 
     @pytest.mark.parametrize("q", [1e-4, 0.004, 0.5, 0.998])
     def test_closed_form_accuracy(self, q):
@@ -196,14 +193,14 @@ class TestCarlitzRoutes:
             assert abs(Fraction(carlitz_closed_form(n, n, qp)) - value) / value < 1e-15, n
 
     def test_quadrature_normalization(self):
-        assert orthogonality_quadrature(0, 0, QParam.from_q(0.5), GRID) == pytest.approx(
+        assert orthogonality_quadrature(0, 0, QParam.from_q(0.5), GRID_POINTS) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_quadrature_warns_on_coarse_grid(self):
         qp = QParam.from_q(0.9)
         with pytest.warns(ResolutionWarning):
-            orthogonality_quadrature(10, 10, qp, PhaseGrid.uniform(16), 1e-12)
+            orthogonality_quadrature(10, 10, qp, 16, 1e-12)
 
     def test_domain_errors(self):
         qp = QParam.from_q(0.5)
@@ -295,12 +292,12 @@ class TestGridSweep:
     @pytest.mark.parametrize("q", Q_TRIO)
     def test_matches_scalar_evaluation(self, q):
         qp = QParam.from_q(q)
-        small = PhaseGrid.uniform(16)
+        small = phase_grid(16)
         scale = 1e-12 if q < 0.8 else 1e-10
         for n in (0, 2, 5):
             for m in (-1, n, n + 3):
                 grid_vals = wigner_grid(n, m, qp, small, 1e-12)
-                for k, th in enumerate(small.points):
+                for k, th in enumerate(small):
                     scalar = wigner_eval(n, m, float(th), qp, 1e-12)
                     assert abs(grid_vals[k] - scalar) < scale
 
@@ -364,7 +361,7 @@ class TestAngleMarginal:
     def test_first_excited_closed_form(self, mu):
         qp = QParam.from_mu(mu)
         pref = math.exp(-2 * mu) / (1 - math.exp(-2 * mu))
-        for th in GRID.points[::8]:
+        for th in GRID[::8]:
             th = float(th)
             expected = (
                 pref
@@ -378,7 +375,7 @@ class TestAngleMarginal:
         qp = QParam.from_q(q)
         for n in range(7):
             table = angle_table(n, qp, GRID)
-            assert GRID.weight * float(np.sum(table)) == pytest.approx(1.0, abs=1e-10)
+            assert float(np.sum(table)) / GRID_POINTS == pytest.approx(1.0, abs=1e-10)
             assert all(v > 0 for v in table)
 
     def test_evenness(self):
@@ -388,6 +385,13 @@ class TestAngleMarginal:
                 a = angle_distribution(n, th, qp)
                 b = angle_distribution(n, -th, qp)
                 assert abs(a - b) <= 1e-12 * a
+
+    @pytest.mark.parametrize("n,theta", [(120, 0.0), (110, 2.0)])
+    def test_non_finite_point_raises(self, n, theta):
+        # |R_n|^2 overflows (inf at theta = 0) or meets an underflowed
+        # theta_3 (0 * inf = nan at theta = 2); angle_table refuses both
+        with pytest.raises(OverflowError, match=f"n={n}"):
+            angle_distribution(n, theta, QParam.from_q(0.9999))
 
 
 class TestAngleFromWigner:

@@ -11,10 +11,10 @@ import pytest
 from mpmath import mp
 
 from qps import (
-    PhaseGrid,
     QParam,
     action_distribution,
     angle_distribution_from_wigner,
+    phase_grid,
     qfactorial,
     wigner_grid,
 )
@@ -184,10 +184,10 @@ class TestGridApply:
             abs(a) * (2.0 + math.pi * f) for f, a in zip(freqs, amps)
         )
         for k in (8, 257, 4096, 4099):
-            grid = PhaseGrid.uniform(k)
+            grid = phase_grid(k)
             got = wigner_grid(n, m, qp, grid)
             assert type(got) is tuple and len(got) == k
-            for theta, value in zip(grid.points, got):
+            for theta, value in zip(grid, got):
                 with mp.workdps(40):
                     error = abs(value - mpmath_series(pref, freqs, amps, theta))
                 assert error <= bound, (k, theta)
@@ -195,7 +195,7 @@ class TestGridApply:
     def test_memory_bound(self):
         # the whole 16384 x 81 cosine matrix alone is 10 MiB
         qp = QParam.from_q(0.0811)
-        grid = PhaseGrid.uniform(16384)
+        grid = phase_grid(16384)
         wigner_grid(150, 152, qp, grid)
         tracemalloc.start()
         try:
