@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 from .errors import ImaginaryResidueError, NonConvergenceError
 from .qseries import QParam
-from .rspoly import rs_coefficients, rs_function
+from .rspoly import rs_abs_squared_rows, rs_coefficients
 from .theta import theta3
 from .verify import build_verify_report
 from .wigner import _t_cutoff, action_table, angle_table, phase_grid, wigner_grid
@@ -119,27 +119,30 @@ class Group:
         return code
 
 
-def check_options(q, mu, *, n=None, grid_points=None, tol=None) -> QParam:
-    """Check the values the command has (None: it has no such option) and
-    resolve the --q/--mu knob."""
+def resolve_knob(q, mu) -> QParam:
+    """The deformation from exactly one of --q and --mu."""
     if (q is None) == (mu is None):
         raise UsageError("provide exactly one of --q or --mu")
     try:
-        qp = QParam.from_q(q) if q is not None else QParam.from_mu(mu)
+        return QParam.from_q(q) if q is not None else QParam.from_mu(mu)
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def check_options(*, n=None, grid_points=None, tol=None) -> None:
+    """Check the values the command has (None: it has no such option)."""
     if n is not None and n < 0:
         raise UsageError(f"--n must be >= 0, got {n}")
     if grid_points is not None and grid_points < 8:
         raise UsageError(f"--grid-points must be >= 8, got {grid_points}")
-    if tol is not None and not (tol > 0.0):
-        raise UsageError(f"--tol must be positive, got {tol}")
-    return qp
+    if tol is not None and not (tol > 0.0 and math.isfinite(tol)):
+        raise UsageError(f"--tol must be positive and finite, got {tol}")
 
 
 def fnum(x: float) -> str:
-    """17 significant digits: round-trip safe and byte-deterministic."""
-    return "%.17g" % x
+    """17 significant digits: round-trip safe and byte-deterministic.  An int
+    prints whole, as %.17g would not past 2**53."""
+    return str(x) if isinstance(x, int) else "%.17g" % x
 
 
 def emit(text: str, out: str | None) -> None:
@@ -153,6 +156,21 @@ def emit(text: str, out: str | None) -> None:
     else:
         sys.stdout.write(text)
         sys.stdout.flush()
+
+
+def write_table(fmt: str, out: str | None, payload, columns=(), head=()) -> None:
+    """Emit a command's output once.  JSON is payload(), indented; a callable,
+    so a CSV call builds none of its metadata.  CSV is the `head` rows and a
+    blank line, if any, then a header row of the names and one row per index
+    of the (name, values) columns; every cell goes through fnum."""
+    if fmt == "json":
+        text = json.dumps(payload(), indent=2) + "\n"
+    else:
+        lines = [",".join(map(fnum, row)) for row in head] + ([""] if head else [])
+        lines.append(",".join(name for name, _ in columns))
+        lines += [",".join(map(fnum, row)) for row in zip(*(values for _, values in columns))]
+        text = "\n".join(lines) + "\n"
+    emit(text, out)
 
 
 @contextmanager
@@ -187,72 +205,47 @@ examples:
   qps verify --q 0.5 --n 10""")
 
 
-def _abs_r_squared_row(k: int, grid: tuple[float, ...], qp: QParam) -> list[float]:
-    """|R_k(theta)|^2 over the grid; OverflowError naming |R_k|^2 past double range."""
-    moduli = [abs(rs_function(k, th, qp)) for th in grid]
-    try:
-        row = [r ** 2 for r in moduli]
-        if all(map(math.isfinite, row)):
-            return row
-    except OverflowError:
-        pass
-    raise OverflowError(f"|R_k|^2 overflows double precision at k={k}, q={qp.q}")
-
-
 @cli.command("poly", Q, MU, N, GRID, FORMAT, OUT)
 def poly(q, mu, n, grid_points, fmt, out):
     """Coefficients of H_0..H_n and |R_k(theta)|^2 sampled on the grid."""
-    qp = check_options(q, mu, n=n, grid_points=grid_points)
+    qp = resolve_knob(q, mu)
+    check_options(n=n, grid_points=grid_points)
     with numeric_exit():
         grid = phase_grid(grid_points)
         coeff_rows = [[float(c) for c in rs_coefficients(k, qp)] for k in range(n + 1)]
-        r2 = [_abs_r_squared_row(k, grid, qp) for k in range(n + 1)]
-    if fmt == "csv":
-        lines = [",".join(fnum(c) for c in row) for row in coeff_rows]
-        lines.append("")
-        lines.append("theta," + ",".join(f"R2_{k}" for k in range(n + 1)))
-        for i, th in enumerate(grid):
-            lines.append(",".join([fnum(th)] + [fnum(r2[k][i]) for k in range(n + 1)]))
-        emit("\n".join(lines) + "\n", out)
-    else:
-        payload = {
-            "command": "poly",
-            "q": qp.q,
-            "mu": qp.mu,
-            "n": n,
-            "grid_points": grid_points,
-            "coefficients": coeff_rows,
-            "theta": list(grid),
-            "abs_r_squared": r2,
-        }
-        emit(json.dumps(payload, indent=2) + "\n", out)
+        r2 = rs_abs_squared_rows(n, grid, qp)
+    write_table(fmt, out, lambda: {
+        "command": "poly",
+        "q": qp.q,
+        "mu": qp.mu,
+        "n": n,
+        "grid_points": grid_points,
+        "coefficients": coeff_rows,
+        "theta": list(grid),
+        "abs_r_squared": r2,
+    }, [("theta", grid), *((f"R2_{k}", row) for k, row in enumerate(r2))], head=coeff_rows)
 
 
 @cli.command("theta", Q, MU, GRID, TOL, FORMAT, OUT)
 def theta_cmd(q, mu, grid_points, tol, fmt, out):
     """Jacobi theta_3 weight function sampled on the grid."""
-    qp = check_options(q, mu, grid_points=grid_points, tol=tol)
+    qp = resolve_knob(q, mu)
+    check_options(grid_points=grid_points, tol=tol)
     with numeric_exit():
         grid = phase_grid(grid_points)
         evals = [theta3(th, qp, tol) for th in grid]
-    if fmt == "csv":
-        lines = ["theta,theta3"]
-        for th, ev in zip(grid, evals):
-            lines.append(f"{fnum(th)},{fnum(ev.value)}")
-        emit("\n".join(lines) + "\n", out)
-    else:
-        payload = {
-            "command": "theta",
-            "q": qp.q,
-            "mu": qp.mu,
-            "grid_points": grid_points,
-            "tol": tol,
-            "representation": evals[0].representation.value,
-            "terms_used": [ev.terms_used for ev in evals],
-            "theta": list(grid),
-            "values": [ev.value for ev in evals],
-        }
-        emit(json.dumps(payload, indent=2) + "\n", out)
+    values = [ev.value for ev in evals]
+    write_table(fmt, out, lambda: {
+        "command": "theta",
+        "q": qp.q,
+        "mu": qp.mu,
+        "grid_points": grid_points,
+        "tol": tol,
+        "representation": evals[0].representation.value,
+        "terms_used": [ev.terms_used for ev in evals],
+        "theta": list(grid),
+        "values": values,
+    }, [("theta", grid), ("theta3", values)])
 
 
 @cli.command("angle-dist", Q, MU, N, GRID, TOL, FORMAT, OUT,
@@ -269,36 +262,29 @@ def angle_dist(q, mu, n, grid_points, tol, fmt, out, mu_list):
             params = [(f"mu={t}", QParam.from_mu(float(t))) for t in tokens]
         except ValueError as exc:
             raise UsageError(f"bad --mu-list entry: {exc}")
-        check_options(None, params[0][1].mu, n=n, grid_points=grid_points, tol=tol)
     else:
-        params = [("omega", check_options(q, mu, n=n, grid_points=grid_points, tol=tol))]
+        params = [("omega", resolve_knob(q, mu))]
+    check_options(n=n, grid_points=grid_points, tol=tol)
     with numeric_exit():
         grid = phase_grid(grid_points)
         tables = [angle_table(n, qp, grid, tol) for _, qp in params]
-    if fmt == "csv":
-        lines = ["theta," + ",".join(label for label, _ in params)]
-        for i, th in enumerate(grid):
-            lines.append(",".join([fnum(th)] + [fnum(t[i]) for t in tables]))
-        emit("\n".join(lines) + "\n", out)
-    else:
-        payload = {
-            "command": "angle-dist",
-            "n": n,
-            "grid_points": grid_points,
-            "tol": tol,
-            "theta": list(grid),
-            "columns": [
-                {
-                    "label": label,
-                    "q": qp.q,
-                    "mu": qp.mu,
-                    "theta3_terms": theta3(0.0, qp, tol).terms_used,
-                    "values": list(table),
-                }
-                for (label, qp), table in zip(params, tables)
-            ],
-        }
-        emit(json.dumps(payload, indent=2) + "\n", out)
+    write_table(fmt, out, lambda: {
+        "command": "angle-dist",
+        "n": n,
+        "grid_points": grid_points,
+        "tol": tol,
+        "theta": list(grid),
+        "columns": [
+            {
+                "label": label,
+                "q": qp.q,
+                "mu": qp.mu,
+                "theta3_terms": theta3(0.0, qp, tol).terms_used,
+                "values": list(table),
+            }
+            for (label, qp), table in zip(params, tables)
+        ],
+    }, [("theta", grid), *((label, table) for (label, _), table in zip(params, tables))])
 
 
 def _parse_m_range(spec: str) -> tuple[int, int]:
@@ -320,26 +306,20 @@ def _parse_m_range(spec: str) -> tuple[int, int]:
                                     "(default: %(default)s)."}))
 def action_dist(q, mu, n, grid_points, fmt, out, m_range):
     """Action marginal Lambda^(n)(m) = delta_{m,n}; --grid-points does not change it."""
-    qp = check_options(q, mu, n=n, grid_points=grid_points)
+    qp = resolve_knob(q, mu)
+    check_options(n=n, grid_points=grid_points)
     lo, hi = _parse_m_range(m_range)
     with numeric_exit():
         values = list(action_table(n, lo, hi, qp))
-    if fmt == "csv":
-        lines = ["m,lambda"]
-        for m, v in zip(range(lo, hi + 1), values):
-            lines.append(f"{m},{fnum(v)}")
-        emit("\n".join(lines) + "\n", out)
-    else:
-        payload = {
-            "command": "action-dist",
-            "q": qp.q,
-            "mu": qp.mu,
-            "n": n,
-            "grid_points": grid_points,
-            "m": list(range(lo, hi + 1)),
-            "values": values,
-        }
-        emit(json.dumps(payload, indent=2) + "\n", out)
+    write_table(fmt, out, lambda: {
+        "command": "action-dist",
+        "q": qp.q,
+        "mu": qp.mu,
+        "n": n,
+        "grid_points": grid_points,
+        "m": list(range(lo, hi + 1)),
+        "values": values,
+    }, [("m", range(lo, hi + 1)), ("lambda", values)])
 
 
 @cli.command("wigner", Q, MU, N, GRID, TOL, FORMAT, OUT,
@@ -347,29 +327,23 @@ def action_dist(q, mu, n, grid_points, fmt, out, m_range):
                       "help": "Action index of the slice (default: %(default)s)."}))
 def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
     """Wigner function O_n(m, theta) over the angle grid at fixed m."""
-    qp = check_options(q, mu, n=n, grid_points=grid_points, tol=tol)
+    qp = resolve_knob(q, mu)
+    check_options(n=n, grid_points=grid_points, tol=tol)
     with numeric_exit():
         grid = phase_grid(grid_points)
         values = wigner_grid(n, m, qp, grid, tol)
-    if fmt == "csv":
-        lines = ["theta,wigner"]
-        for th, v in zip(grid, values):
-            lines.append(f"{fnum(th)},{fnum(v)}")
-        emit("\n".join(lines) + "\n", out)
-    else:
-        payload = {
-            "command": "wigner",
-            "q": qp.q,
-            "mu": qp.mu,
-            "n": n,
-            "m": m,
-            "grid_points": grid_points,
-            "tol": tol,
-            "t_cutoff": _t_cutoff(qp.mu, tol),
-            "theta": list(grid),
-            "values": list(values),
-        }
-        emit(json.dumps(payload, indent=2) + "\n", out)
+    write_table(fmt, out, lambda: {
+        "command": "wigner",
+        "q": qp.q,
+        "mu": qp.mu,
+        "n": n,
+        "m": m,
+        "grid_points": grid_points,
+        "tol": tol,
+        "t_cutoff": _t_cutoff(qp.mu, tol),
+        "theta": list(grid),
+        "values": list(values),
+    }, [("theta", grid), ("wigner", values)])
 
 
 @cli.command(
@@ -383,10 +357,11 @@ def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
 )
 def verify(q, mu, n, grid_points, tol, out):
     """Run the relation checks and emit a JSON report; exit 0 iff all pass."""
-    qp = check_options(q, mu, n=n, grid_points=grid_points, tol=tol)
+    qp = resolve_knob(q, mu)
+    check_options(n=n, grid_points=grid_points, tol=tol)
     with numeric_exit():
         report = build_verify_report(qp, max(n, 2), grid_points, tol)
-    emit(json.dumps(report, indent=2) + "\n", out)
+    write_table("json", out, lambda: report)
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         print(f"verification failed: {', '.join(failing)}", file=sys.stderr)

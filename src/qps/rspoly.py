@@ -14,7 +14,8 @@ are orthonormal on the circle against the Jacobi theta_3 weight.
 The substitution y = -q^{-1/2} e^{i phi} blows up as q -> 0, so angle-space
 evaluation is reliable on the practical domain q in [1e-4, 1 - 1e-4];
 rs_function folds the q^{n/2} prefactor into the sum term by term; _rs_row
-gives those bounded coefficients a_r, the row behind the Wigner weights.
+gives those bounded coefficients a_r, the row behind the Wigner weights;
+rs_abs_squared_rows gives the |R_k|^2 rows behind `qps poly`.
 
 A polynomial is its coefficient tuple, lowest degree first; () is zero.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 
 from .qseries import QParam, _qbinomial_row, qbinomial, qfactorial, qnumber
 
@@ -91,3 +93,23 @@ def rs_function(n: int, phi: float, qp: QParam) -> complex:
         sign = -1.0 if r & 1 else 1.0
         acc += sign * qbinomial(n, r, qp) * qp.qpow((n - r) / 2.0) * cmath.exp(1j * r * phi)
     return acc / norm
+
+
+def rs_abs_squared_rows(n: int, thetas: Sequence[float], qp: QParam) -> list[list[float]]:
+    """|R_k(theta)|^2 at each angle, one row for each k = 0..n.
+
+    Each entry is abs(rs_function(k, theta, qp)) ** 2; OverflowError names
+    the first k whose |R_k|^2 passes double range.
+    """
+    rows = []
+    for k in range(n + 1):
+        moduli = [abs(rs_function(k, th, qp)) for th in thetas]
+        try:
+            row = [r ** 2 for r in moduli]
+            finite = all(map(math.isfinite, row))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise OverflowError(f"|R_k|^2 overflows double precision at k={k}, q={qp.q}")
+        rows.append(row)
+    return rows

@@ -295,6 +295,16 @@ class TestConfigValidation:
 
     def test_rejects_bad_tol(self):
         assert run("theta", "--q", "0.5", "--tol", "-1").exit_code == 2
+        # an infinite --tol truncates every sum to its first terms and passes
+        # every verify check
+        for args in (("theta", "--mu", "2"), ("angle-dist", "--q", "0.5", "--n", "1"),
+                     ("wigner", "--q", "0.3", "--n", "3", "--m", "3"),
+                     ("verify", "--q", "0.5", "--n", "3")):
+            for tol in ("inf", "-inf", "nan"):
+                res = run(*args, "--tol", tol)
+                assert res.exit_code == 2, (args, tol)
+                assert res.stdout == ""
+                assert res.stderr == f"Error: --tol must be positive and finite, got {float(tol)}\n"
 
     def test_rejects_q_out_of_range(self):
         assert run("poly", "--q", "0").exit_code == 2
@@ -437,6 +447,29 @@ class TestOutputPath:
         assert res.stderr.startswith(f"Error: cannot write {target}: ")
         assert res.stderr.count("\n") == 1
         assert not target.parent.exists()
+
+
+    #: one call per table command, in the argv form of the golden digests
+    TABLES = [
+        ("poly", "--q", "0.5", "--n", "3", "--grid-points", "16"),
+        ("theta", "--mu", "3", "--grid-points", "16"),
+        ("angle-dist", "--n", "2", "--mu-list", "0.1,0.5", "--grid-points", "16"),
+        ("action-dist", "--q", "0.5", "--n", "2", "--m-range", "-1:4"),
+        ("wigner", "--q", "0.5", "--n", "2", "--m", "2", "--grid-points", "16"),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("args", TABLES, ids=lambda args: args[0])
+    def test_file_holds_the_stdout_bytes(self, tmp_path, args, fmt):
+        # poly's CSV is two blocks: a writer that emitted each would leave
+        # only the last one in the file
+        printed = run(*args, "--format", fmt)
+        target = tmp_path / "table.out"
+        res = run(*args, "--format", fmt, "--out", str(target))
+        assert printed.exit_code == res.exit_code == 0
+        assert res.stdout_bytes == b""
+        assert printed.stdout_bytes
+        assert target.read_bytes() == printed.stdout_bytes
 
 
 class TestSubnormalTol:

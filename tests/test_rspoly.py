@@ -12,6 +12,7 @@ import qps.qseries
 from qps import (
     QParam,
     jackson_derivative,
+    phase_grid,
     qfactorial,
     qnumber,
     rs_coefficients,
@@ -19,6 +20,7 @@ from qps import (
     rs_eval_recurrence,
     rs_function,
 )
+from qps.rspoly import rs_abs_squared_rows
 
 Q_TRIO = (0.1, 0.5, 0.9)
 
@@ -166,3 +168,18 @@ class TestRSFunction:
         vals = [abs(rs_function(7, phi, qp)) for phi in np.linspace(-3, 3, 20)]
         assert all(math.isfinite(v) for v in vals)
         assert max(vals) < 50.0
+
+    @pytest.mark.parametrize("q", Q_TRIO)
+    def test_abs_squared_rows_are_the_squared_moduli(self, q):
+        qp = QParam.from_q(q)
+        grid = phase_grid(16)
+        rows = rs_abs_squared_rows(6, grid, qp)
+        assert len(rows) == 7
+        for k, row in enumerate(rows):
+            expected = [abs(rs_function(k, th, qp)) ** 2 for th in grid]
+            assert [x.hex() for x in row] == [x.hex() for x in expected]
+
+    def test_abs_squared_rows_overflow_names_k(self):
+        # |R_k|^2 passes double range at k = 103, q = 1 - 1e-4
+        with pytest.raises(OverflowError, match=r"\|R_k\|\^2 .* k=103, q=0\.9999"):
+            rs_abs_squared_rows(110, phase_grid(8), QParam.from_q(0.9999))
