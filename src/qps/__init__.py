@@ -22,8 +22,6 @@ from .qseries import (
 from .rspoly import (
     jackson_derivative,
     rs_coefficients,
-    rs_eval_direct,
-    rs_eval_recurrence,
     rs_function,
 )
 from .theta import (
@@ -46,7 +44,6 @@ from .wigner import (
     orthogonality_quadrature,
     phase_grid,
     sinc_kernel,
-    wigner_eval,
     wigner_grid,
     wigner_one_sided,
 )
@@ -78,15 +75,12 @@ __all__ = [
     "qfactorial",
     "qnumber",
     "rs_coefficients",
-    "rs_eval_direct",
-    "rs_eval_recurrence",
     "rs_function",
     "sinc_kernel",
     "theta3",
     "theta3_gaussian",
     "theta3_series",
     "verify_algebra",
-    "wigner_eval",
     "wigner_grid",
     "wigner_one_sided",
     "__version__",

@@ -76,8 +76,8 @@ def verify_algebra(n_max: int, qp: QParam, tol: float) -> AlgebraReport:
     """
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     names = ("comm_a_adag_minus_qN", "aadag_minus_q_adaga_minus_one")
     worst = dict.fromkeys(names, 0.0)
     classical = 0.0

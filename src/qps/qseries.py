@@ -123,12 +123,10 @@ def _qbinomial_row(n: int, qp: QParam) -> tuple[float, ...]:
 
 
 def qnumber(n: int, qp: QParam) -> float:
-    """q-number [n]_q = (1 - q^n)/(1 - q); equals qbinomial(n, 1) by construction."""
+    """q-number [n]_q = (1 - q^n)/(1 - q); [0]_q = 0."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 0.0
-    return qbinomial(n, 1, qp)
+    return qp.one_minus_qpow(n) / qp.one_minus_qpow(1)
 
 
 def qfactorial(n: int, qp: QParam) -> float:

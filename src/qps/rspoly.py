@@ -36,27 +36,6 @@ def rs_coefficients(n: int, qp: QParam) -> tuple[float, ...]:
     return _qbinomial_row(n, qp)
 
 
-def rs_eval_direct(n: int, y: complex, qp: QParam) -> complex:
-    """H_n(y; q) by Horner evaluation of the coefficient sum."""
-    acc = 0j
-    for c in reversed(rs_coefficients(n, qp)):
-        acc = acc * y + c
-    return acc
-
-
-def rs_eval_recurrence(n: int, y: complex, qp: QParam) -> complex:
-    """H_n(y; q) by iterating the three-term recurrence from H_0, H_1."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return 1.0 + 0j
-    h_prev = 1.0 + 0j
-    h = 1.0 + y
-    for k in range(1, n):
-        h, h_prev = (1.0 + y) * h - qp.one_minus_qpow(k) * y * h_prev, h
-    return h
-
-
 def jackson_derivative(p: tuple, qp: QParam) -> tuple:
     """Jackson q-derivative D_q p(y) = (p(y) - p(qy)) / (y (1 - q)).
 

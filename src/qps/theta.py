@@ -61,8 +61,8 @@ def theta3_series(phi: float, qp: QParam, tol: float) -> ThetaEval:
     T is the smallest index with e^{-mu T^2} < tol * (1 - e^{-mu}), which
     bounds the dropped tail by tol.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     mu = qp.mu
     target = tol * (-math.expm1(-mu))
     # a lower bound on T, walked up to the smallest index that meets the target
@@ -88,8 +88,8 @@ def theta3_gaussian(phi: float, qp: QParam, tol: float) -> ThetaEval:
     which successive +-n pairs decay at least like exp(-2 pi^2 (2n-1)/mu);
     summation stops once a pair contributes below tol/2.
     """
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     mu = qp.mu
     phi_r = _reduce_angle(phi)
     pref = math.sqrt(math.pi / mu)

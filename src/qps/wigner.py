@@ -15,7 +15,7 @@ The transform places the theta_3 weight at a shifted argument, and the two
 possible shift signs produce sinc kernels centered at (t+r+s)/2 and
 (r+s-t)/2 whose assembled sums are exact complex conjugates: their shared
 real part is the Wigner function, while either one-sided choice alone
-keeps an O(1) imaginary part for n >= 1.  wigner_eval therefore uses the
+keeps an O(1) imaginary part for n >= 1.  wigner_grid therefore uses the
 shift-averaged kernel
 
     K(m; t, r, s) = [sinc((m-(t+r+s)/2) pi) + sinc((m-(r+s-t)/2) pi)] / 2,
@@ -29,10 +29,9 @@ wigner_grid sums its cosine series at each angle of a sequence (O(K + F)
 memory for K angles and F frequencies), and angle_distribution_from_wigner
 swaps the sinc kernel for its summed action window.  action_distribution
 sums only the finite f = 0 slice, directly.  Angles are plain sequences of
-floats, usually the tuple phase_grid(K); wigner_eval and angle_distribution
-are wigner_grid and angle_table at one angle.  Results are plain floats:
-wigner_eval returns one, and wigner_grid, angle_table and action_table
-return a tuple, one value per angle or per m.
+floats, usually the tuple phase_grid(K); angle_distribution is angle_table
+at one angle.  Results are plain floats: wigner_grid, angle_table and
+action_table return a tuple, one value per angle or per m.
 Each frequency slice of the spectrum is summed exactly by one math.fsum, and
 so are the rounded products amp_f cos(f theta) of each cosine series.  The
 raw one-sided sums in wigner_one_sided are the independent loop that
@@ -370,8 +369,10 @@ def orthogonality_quadrature(
     """
     if m < 0 or n < 0:
         raise ValueError(f"m, n must be >= 0, got m={m}, n={n}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if k_points < 2:
+        raise ValueError(f"need at least 2 grid points, got {k_points}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     bandwidth = m + n + _theta3_bandwidth(qp.mu, tol)
     if bandwidth > k_points // 2 - 1:
         warnings.warn(
@@ -486,18 +487,6 @@ def _wigner_spectrum(
     return pref, freqs, tuple(folded[f] for f in freqs)
 
 
-def wigner_eval(n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12) -> float:
-    """O_n(m, theta) with the t-sum truncated at exp(-mu t^2) ~ tol: wigner_grid
-    at the one angle theta.
-
-    The shift-averaged kernel pairs every term with its conjugate, so the
-    assembled value must be real up to truncation and rounding; an imaginary
-    residue at or above tol raises ImaginaryResidueError (an implementation
-    check, not a data condition), and the residue is discarded otherwise.
-    """
-    return wigner_grid(n, m, qp, (theta,), tol)[0]
-
-
 def wigner_one_sided(
     n: int, m: int, theta: float, qp: QParam, tol: float = 1e-12, shift_sign: int = -1
 ) -> complex:
@@ -510,8 +499,8 @@ def wigner_one_sided(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if shift_sign not in (-1, 1):
         raise ValueError(f"shift_sign must be -1 or +1, got {shift_sign}")
     t_cut = _t_cutoff(qp.mu, tol)
@@ -553,8 +542,8 @@ def wigner_grid(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     pref, freqs, amps = _wigner_spectrum(n, qp, tol, partial(sinc_kernel, m))
     return tuple(pref * _cosine_series(freqs, amps, theta) for theta in thetas)
 
@@ -621,8 +610,8 @@ def angle_distribution_from_wigner(
         raise ValueError(f"n must be >= 0, got {n}")
     if m_cut < n + 10:
         raise ValueError(f"m_cut must be >= n + 10, got m_cut={m_cut}, n={n}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     partials = _one_sided_partials(m_cut + _t_cutoff(qp.mu, tol) + 2 * n + 4)
 
     def window(c2: int) -> float:

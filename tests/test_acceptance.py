@@ -30,7 +30,7 @@ from qps import (
     theta3_gaussian,
     theta3_series,
     verify_algebra,
-    wigner_eval,
+    wigner_grid,
     wigner_one_sided,
 )
 from qps.cli import cli
@@ -270,7 +270,7 @@ def test_criterion_10_shift_choice_equivalence():
                 for theta in (0.0, 0.7, 2.2, -1.3):
                     minus = wigner_one_sided(n, m, theta, qp, 1e-13, -1).real
                     plus = wigner_one_sided(n, m, theta, qp, 1e-13, +1).real
-                    default = wigner_eval(n, m, theta, qp, 1e-13)
+                    default = wigner_grid(n, m, qp, (theta,), 1e-13)[0]
                     worst = max(worst, abs(minus - plus), abs(minus - default))
     report(
         10,

@@ -143,7 +143,7 @@ for fmt in ("csv", "json"):
     report[fmt] = out.getvalue()
 qp = qps.QParam.from_q(0.5)
 grid = qps.phase_grid(64)
-report["wigner_eval"] = qps.wigner_eval(2, 2, 0.3, qp)
+report["wigner"] = qps.wigner_grid(2, 2, qp, (0.3,))[0]
 report["from_wigner"] = qps.angle_distribution_from_wigner(2, 0.3, qp, m_cut=40)
 report["angle"] = qps.angle_distribution(2, 0.3, qp)
 report["variance"] = qps.circular_variance(qps.angle_table(0, qp, grid), grid)
@@ -161,7 +161,7 @@ def test_wigner_paths_run_without_numpy():
     rows = report["csv"].splitlines()
     assert rows[0] == "theta,wigner" and len(rows) == 17
     assert len(json.loads(report["json"])["values"]) == 16
-    assert math.isfinite(report["wigner_eval"])
+    assert math.isfinite(report["wigner"])
     assert abs(report["from_wigner"] - report["angle"]) < 1e-3
     # for n = 0 the circular variance of theta_3 is exactly 1 - e^{-mu}
     mu = QParam.from_q(0.5).mu

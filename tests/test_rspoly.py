@@ -1,4 +1,4 @@
-"""Rogers-Szego polynomials: dual evaluation routes, ladder, normalization."""
+"""Rogers-Szego polynomials: coefficient row, recurrence, ladder, normalization."""
 
 import cmath
 import math
@@ -16,13 +16,16 @@ from qps import (
     qfactorial,
     qnumber,
     rs_coefficients,
-    rs_eval_direct,
-    rs_eval_recurrence,
     rs_function,
 )
 from qps.rspoly import rs_abs_squared_rows
 
 Q_TRIO = (0.1, 0.5, 0.9)
+
+
+def poly_at(row, y):
+    """H_n(y) as the sum of c y^r over its coefficient row."""
+    return sum(c * y**r for r, c in enumerate(row))
 
 
 class TestCoefficients:
@@ -53,45 +56,42 @@ class TestCoefficients:
 class TestEvaluation:
     def test_direct_base_cases(self):
         qp = QParam.from_q(0.23)
-        assert rs_eval_direct(0, 3 + 2j, qp) == 1.0 + 0j
-        assert rs_eval_direct(5, 0.0, qp) == 1.0 + 0j
+        assert poly_at(rs_coefficients(0, qp), 3 + 2j) == 1.0
+        assert poly_at(rs_coefficients(5, qp), 0.0) == 1.0
 
     def test_direct_at_one_is_binomial_sum(self):
-        # 1 + [3 1] + [3 2] + 1 = 5.5 at q = 0.5
-        assert rs_eval_direct(3, 1.0, QParam.from_q(0.5)) == pytest.approx(5.5, rel=1e-15)
+        # H_3(1) = 1 + [3 1] + [3 2] + 1 = 5.5 at q = 0.5
+        assert math.fsum(rs_coefficients(3, QParam.from_q(0.5))) == pytest.approx(5.5, rel=1e-15)
 
     def test_recurrence_one_step(self):
+        # H_2 = (1 + y) H_1 - (1 - q) y H_0 = 1 + (2 - (1 - q)) y + y^2
         qp = QParam.from_q(0.37)
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            y = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            expected = (1 + y) ** 2 - (1 - qp.q) * y
-            assert rs_eval_recurrence(2, y, qp) == pytest.approx(expected, rel=1e-14)
+        assert rs_coefficients(2, qp) == pytest.approx((1.0, 2.0 - (1.0 - qp.q), 1.0), rel=1e-15)
 
     def test_recurrence_root_of_h1(self):
-        assert rs_eval_recurrence(1, -1.0, QParam.from_q(0.5)) == 0.0 + 0j
+        assert poly_at(rs_coefficients(1, QParam.from_q(0.5)), -1.0) == 0.0
 
     @pytest.mark.parametrize("q", Q_TRIO)
     def test_route_equivalence(self, q):
+        # the three-term recurrence on coefficients:
+        # H_{n+1}[r] = H_n[r] + H_n[r-1] - (1 - q^n) H_{n-1}[r-1]
         qp = QParam.from_q(q)
-        rng = np.random.default_rng(42)
-        for n in range(26):
-            coeffs = rs_coefficients(n, qp)
-            for _ in range(50):
-                y = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-                a = rs_eval_direct(n, y, qp)
-                b = rs_eval_recurrence(n, y, qp)
-                # eps-level floor from the coefficient mass covers near-root
-                # cancellation at q = 0.9, n ~ 25
-                mass = sum(c * abs(y) ** r for r, c in enumerate(coeffs))
-                assert abs(a - b) < 1e-12 * (1.0 + abs(a)) + 100 * 2.2e-16 * mass
+        for n in range(1, 26):
+            h_prev, h, h_next = (rs_coefficients(k, qp) for k in (n - 1, n, n + 1))
+            c = qp.one_minus_qpow(n)
+            for r in range(n + 2):
+                up = h[r] if r <= n else 0.0
+                left = h[r - 1] if r >= 1 else 0.0
+                back = c * h_prev[r - 1] if 1 <= r <= n else 0.0
+                assert abs(h_next[r] - (up + left - back)) <= 1e-15 * (up + left + back)
 
     def test_classical_limit_binomial_theorem(self):
+        # as q -> 1 the Gaussian binomial row tends to C(n, r)
         qp = QParam.from_q(1 - 1e-8)
-        rng = np.random.default_rng(3)
         for n in range(11):
-            y = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            assert rs_eval_direct(n, y, qp) == pytest.approx((1 + y) ** n, rel=1e-5)
+            assert rs_coefficients(n, qp) == pytest.approx(
+                [math.comb(n, r) for r in range(n + 1)], rel=1e-6
+            )
 
 
 class TestJacksonDerivative:
@@ -142,8 +142,8 @@ class TestRSFunction:
         # composition of oracles: q^{n/2}/sqrt((q;q)_n) * H_n(-q^{-1/2} e^{i phi})
         qp = QParam.from_q(0.5)
         for n, phi in [(2, math.pi / 3), (3, -1.1), (5, 2.7)]:
-            y = -qp.q**-0.5 * cmath.exp(1j * phi)
-            expected = qp.q ** (n / 2.0) / math.sqrt(qfactorial(n, qp)) * rs_eval_direct(n, y, qp)
+            h_n = poly_at(rs_coefficients(n, qp), -qp.q**-0.5 * cmath.exp(1j * phi))
+            expected = qp.q ** (n / 2.0) / math.sqrt(qfactorial(n, qp)) * h_n
             assert rs_function(n, phi, qp) == pytest.approx(expected, rel=1e-12)
 
     @given(phi=st.floats(-math.pi, math.pi), n=st.integers(0, 12))
@@ -157,8 +157,8 @@ class TestRSFunction:
     def test_sample_record_satisfies_definition(self):
         qp = QParam.from_q(0.5)
         n, phi = 3, 0.9
-        y = -qp.q**-0.5 * cmath.exp(1j * phi)
-        direct = qp.q ** (n / 2.0) / math.sqrt(qfactorial(n, qp)) * rs_eval_direct(n, y, qp)
+        h_n = poly_at(rs_coefficients(n, qp), -qp.q**-0.5 * cmath.exp(1j * phi))
+        direct = qp.q ** (n / 2.0) / math.sqrt(qfactorial(n, qp)) * h_n
         assert rs_function(n, phi, qp) == pytest.approx(direct, rel=1e-13)
 
     def test_intermediates_bounded_at_small_q(self):

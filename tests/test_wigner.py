@@ -24,7 +24,6 @@ from qps import (
     qfactorial,
     sinc_kernel,
     theta3,
-    wigner_eval,
     wigner_grid,
     wigner_one_sided,
 )
@@ -94,16 +93,6 @@ class TestPlainContainers:
         assert all(type(v) is float for v in table)
         want = [action_distribution(n, int(m), qp) for m in np.arange(m_lo, m_hi + 1)]
         assert hex_list(table) == hex_list(want)
-
-    @pytest.mark.parametrize("n,m,q", [(0, 0, 0.5), (3, 2, 0.1), (6, 8, 0.9)])
-    def test_wigner_eval_is_the_grid_float(self, n, m, q):
-        qp = QParam.from_q(q)
-        grid = phase_grid(16)
-        row = wigner_grid(n, m, qp, grid)
-        for k in (0, 5, 11):
-            value = wigner_eval(n, m, grid[k], qp)
-            assert type(value) is float
-            assert value.hex() == row[k].hex()
 
 
 class TestSincKernel:
@@ -208,6 +197,9 @@ class TestCarlitzRoutes:
             carlitz_double_sum(-1, 0, qp)
         with pytest.raises(ValueError):
             carlitz_closed_form(0, -2, qp)
+        for k_points in (0, 1):
+            with pytest.raises(ValueError, match=f"need at least 2 grid points, got {k_points}"):
+                orthogonality_quadrature(0, 0, qp, k_points)
 
 
 class TestWignerEval:
@@ -222,18 +214,18 @@ class TestWignerEval:
                     oracle += (
                         math.exp(-qp.mu * t * t) * math.cos(t * theta) * naive_sinc(m - t / 2.0)
                     )
-                value = wigner_eval(0, m, theta, qp, 1e-13)
+                value = wigner_grid(0, m, qp, (theta,), 1e-13)[0]
                 assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_strong_deformation_peak(self):
         # t = 0 term dominates: O_0(0, 0) = 1 + (4/pi) sqrt(q) + O(q^2)
         qp = QParam.from_q(1e-3)
-        value = wigner_eval(0, 0, 0.0, qp)
+        value = wigner_grid(0, 0, qp, (0.0,))[0]
         assert abs(value - 1.0 - (4 / math.pi) * math.sqrt(qp.q)) < 5 * qp.q
 
     def test_frozen_reference_value(self):
         # independently assembled from the one-sum reduction before freezing
-        value = wigner_eval(0, 0, 0.0, QParam.from_q(0.5), 1e-14)
+        value = wigner_grid(0, 0, QParam.from_q(0.5), (0.0,), 1e-14)[0]
         assert value == pytest.approx(1.8816036793287345, rel=1e-14)
 
     @pytest.mark.parametrize("q", (0.1, 0.3, 0.5, 0.7, 0.9))
@@ -245,7 +237,7 @@ class TestWignerEval:
         for n in range(6):
             for m in ms:
                 for th in thetas[::4]:
-                    wigner_eval(n, int(m), float(th), qp, 1e-12)
+                    wigner_grid(n, int(m), qp, (float(th),), 1e-12)
 
     def test_takes_negative_values_somewhere(self):
         # quasiprobability: the off-diagonal n = 1, m = 0 slice goes negative
@@ -256,9 +248,9 @@ class TestWignerEval:
     def test_input_validation(self):
         qp = QParam.from_q(0.5)
         with pytest.raises(ValueError):
-            wigner_eval(-1, 0, 0.0, qp)
+            wigner_grid(-1, 0, qp, (0.0,))
         with pytest.raises(ValueError):
-            wigner_eval(0, 0, 0.0, qp, tol=0.0)
+            wigner_grid(0, 0, qp, (0.0,), tol=0.0)
 
 
 class TestShiftChoice:
@@ -277,7 +269,7 @@ class TestShiftChoice:
                 for th in (0.0, 0.7, 2.2, -1.3):
                     a = wigner_one_sided(n, m, th, qp, 1e-13, -1).real
                     b = wigner_one_sided(n, m, th, qp, 1e-13, +1).real
-                    c = wigner_eval(n, m, th, qp, 1e-13)
+                    c = wigner_grid(n, m, qp, (th,), 1e-13)[0]
                     assert abs(a - b) < 1e-12
                     assert abs(a - c) < 1e-12
 
@@ -298,7 +290,7 @@ class TestGridSweep:
             for m in (-1, n, n + 3):
                 grid_vals = wigner_grid(n, m, qp, small, 1e-12)
                 for k, th in enumerate(small):
-                    scalar = wigner_eval(n, m, float(th), qp, 1e-12)
+                    scalar = wigner_grid(n, m, qp, (float(th),), 1e-12)[0]
                     assert abs(grid_vals[k] - scalar) < scale
 
     def test_far_action_slices_decay(self):

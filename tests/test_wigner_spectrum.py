@@ -187,6 +187,7 @@ class TestGridApply:
             grid = phase_grid(k)
             got = wigner_grid(n, m, qp, grid)
             assert type(got) is tuple and len(got) == k
+            assert all(type(v) is float for v in got)
             for theta, value in zip(grid, got):
                 with mp.workdps(40):
                     error = abs(value - mpmath_series(pref, freqs, amps, theta))
