@@ -350,17 +350,16 @@ def wigner_cmd(q, mu, n, grid_points, tol, fmt, out, m):
     "verify", Q, MU,
     ("--n", {"type": int, "default": 10,
              "help": "Basis truncation n_max for the relation checks (default: %(default)s)."}),
-    GRID,
     ("--tol", {"type": float, "default": 1e-10,
                "help": "Residual threshold for all relation checks (default: %(default)s)."}),
     OUT,
 )
-def verify(q, mu, n, grid_points, tol, out):
+def verify(q, mu, n, tol, out):
     """Run the relation checks and emit a JSON report; exit 0 iff all pass."""
     qp = resolve_knob(q, mu)
-    check_options(n=n, grid_points=grid_points, tol=tol)
+    check_options(n=n, tol=tol)
     with numeric_exit():
-        report = build_verify_report(qp, max(n, 2), grid_points, tol)
+        report = build_verify_report(qp, max(n, 2), tol)
     write_table("json", out, lambda: report)
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]

@@ -25,7 +25,7 @@ from .wigner import (
 )
 
 
-def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) -> dict:
+def build_verify_report(qp: QParam, n_max: int, tol: float) -> dict:
     """Relation report: algebra residuals, orthogonality triangle, theta_3
     dual representation, and the marginal checks; all scale-aware."""
     checks = []
@@ -38,11 +38,11 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
     })
 
     top = min(n_max, 10)
-    # the quadrature and the angle checks must resolve the theta_3 bandwidth,
-    # which grows like 1/sqrt(mu) as q -> 1; enlarge their grid beyond the display grid
+    # the quadrature and the angle checks size their grid from n and the
+    # theta_3 bandwidth, which grows like 1/sqrt(mu) as q -> 1
     quad_tol = min(tol, 1e-12)
     bandwidth = _theta3_bandwidth(qp.mu, quad_tol)
-    k_quad = max(grid_points, 2 ** math.ceil(math.log2(4 * 2 * top + 2 * bandwidth + 2)))
+    k_quad = 2 ** math.ceil(math.log2(8 * top + 2 * bandwidth + 2))
     # all three routes are symmetric in (m, n) bitwise, so one triangle suffices
     worst_tri = 0.0
     for m in range(top + 1):
@@ -99,9 +99,10 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
         "passed": worst_action < max(tol, 1e-8),
     })
 
+    # fsum, as sum() over floats is compensated only from Python 3.12
     worst_norm = 0.0
     for values in _angle_columns(sorted({0, 1, n_check}), qp, phase_grid(k_quad), quad_tol):
-        worst_norm = max(worst_norm, abs(1.0 / k_quad * sum(values) - 1.0))
+        worst_norm = max(worst_norm, abs(1.0 / k_quad * math.fsum(values) - 1.0))
     checks.append({
         "name": "angle_normalization",
         "max_residual": worst_norm,
@@ -112,7 +113,6 @@ def build_verify_report(qp: QParam, n_max: int, grid_points: int, tol: float) ->
         "q": qp.q,
         "mu": qp.mu,
         "n_max": n_max,
-        "grid_points": grid_points,
         "tol": tol,
         "checks": checks,
         "classical_commutator_deviation": algebra.classical_commutator_deviation,

@@ -381,7 +381,8 @@ def orthogonality_quadrature(
             ResolutionWarning,
             stacklevel=2,
         )
-    n_top = ((max(m, n) // 8) + 1) * 8
+    # the smallest multiple of 8 whose table holds rows H_0..H_max(m, n)
+    n_top = 8 * max(1, -(-max(m, n) // 8))
     frac, rows = _mp_quad_tables(qp.q, k_points, n_top)
     _, _, wre_m, wim_m = rows[m]
     re_n, im_n = rows[n][:2]

@@ -15,6 +15,7 @@ import qps
 from qps import NonConvergenceError, QParam, ResolutionWarning, theta3
 from qps.errors import ImaginaryResidueError
 from qps.cli import build_verify_report, cli
+from qps.wigner import _mp_quad_tables
 
 runner = CliRunner()
 COMMANDS = ["poly", "theta", "angle-dist", "action-dist", "wigner", "verify"]
@@ -223,17 +224,25 @@ class TestVerify:
         # theta_3; the marginal checks size their grid from the bandwidth
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResolutionWarning)
-            report = build_verify_report(QParam.from_q(0.9999), 2, 256, 1e-10)
+            report = build_verify_report(QParam.from_q(0.9999), 2, 1e-10)
         assert report["passed"] is True
 
     @pytest.mark.parametrize("q", [1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999])
     def test_passes_across_domain(self, q):
-        # q = 0.9999 at n = 2 is the case above
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResolutionWarning)
-            report = build_verify_report(QParam.from_q(q), 10, 256, 1e-10)
-        failing = [c for c in report["checks"] if not c["passed"]]
-        assert report["passed"] is True, failing
+        # q = 0.9999 at n = 2 is the case above; verify's derived grid is
+        # smallest at n = 2, and n = 8 reads one quadrature table
+        for n in (2, 8, 10):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResolutionWarning)
+                report = build_verify_report(QParam.from_q(q), n, 1e-10)
+            failing = [c for c in report["checks"] if not c["passed"]]
+            assert report["passed"] is True, (n, failing)
+
+    def test_n8_builds_one_quadrature_table(self):
+        # the n_top = 8 table holds H_0..H_8
+        _mp_quad_tables.cache_clear()
+        assert run("verify", "--q", "0.5", "--n", "8").exit_code == 0
+        assert _mp_quad_tables.cache_info().misses == 1
 
     def test_algebra_passes_where_qnumbers_near_1e3(self):
         # rounding in k [k]_q alone reaches 1e-10 here; verify checks only the
@@ -258,7 +267,7 @@ class TestVerify:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResolutionWarning)
             try:
-                report = build_verify_report(qp, n, 256, 1e-10)
+                report = build_verify_report(qp, n, 1e-10)
             except (NonConvergenceError, ImaginaryResidueError, OverflowError):
                 return
         failing = [c for c in report["checks"] if not c["passed"]]
@@ -312,6 +321,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("command,option", [
         ("poly", "--tol"), ("theta", "--n"), ("action-dist", "--tol"),
+        ("verify", "--grid-points"),
     ])
     def test_rejects_option_the_command_does_not_read(self, command, option):
         for argv in ([option, "1"], [f"{option}=1"]):

@@ -39,16 +39,16 @@ GOLDEN = [
     (("wigner", "--q", "0.0811", "--n", "150", "--m", "152", "--grid-points", "4096"),
      "bdba30a5386b63cb7aa252cf33dae824e38313bcd0cf57809e1e317e8d85e5b4"),
     (("verify", "--q", "0.5", "--n", "3"),
-     "95ec6a550b2a69de0e71c5e86f62cf0cd2b9df9fcdca23c437cb4184403a719b"),
-    # n >= 8 builds both quadrature tables (n_top 8 and 16)
+     "341baadf4f25d57a4dbb14bdb9f79a103a60e6d7163f1f7c03d9ec048a84c631"),
+    # n = 9 and 10 need the n_top = 16 table beside the n_top = 8 one
     (("verify", "--q", "0.004", "--n", "10"),
-     "6f33ba0854a4cb230aa1a816deb14db924c7199ebc8d22a2ff633ff7fcc99e9e"),
-    # Gaussian theta_3 branch, quadrature on an enlarged 512-point grid
+     "9dfc692cd832fe87950fc3f9695ef355cfb10f82d6fcc9b2786ce3c0b8253c7c"),
+    # Gaussian theta_3 branch: the theta_3 bandwidth sizes a 512-point grid
     (("verify", "--q", "0.998", "--n", "6"),
-     "2e5a56c385c578c710065081801078690071ecbf670af99ca743b6945899781e"),
+     "1374b3ba089d6aef9a62ee981fc0420e7fbb1943ce0a92173d325780167f2f9c"),
     # [k]_q up to ~950: both algebra residuals stay near eps once scaled by [k+1]_q
     (("verify", "--q", "0.9999", "--n", "1000"),
-     "ab47ab09f3f28f77841bcc8436a9b5aa3f1bdaa6daab30a58e04d4dfc0e561b9"),
+     "985b2075a2cf11c1e011b3ca784340026c8ab315b0a6f43e57f95dc8975d7ea1"),
 ]
 
 

@@ -18,7 +18,7 @@ from qps import (
     rs_coefficients,
     rs_function,
 )
-from qps.rspoly import rs_abs_squared_rows
+from qps.rspoly import _rs_row, rs_abs_squared_rows
 
 Q_TRIO = (0.1, 0.5, 0.9)
 
@@ -168,6 +168,20 @@ class TestRSFunction:
         vals = [abs(rs_function(7, phi, qp)) for phi in np.linspace(-3, 3, 20)]
         assert all(math.isfinite(v) for v in vals)
         assert max(vals) < 50.0
+
+    @pytest.mark.parametrize("q", [1e-4, 0.004, 0.1, 0.5, 0.8, 0.9, 0.99, 0.9999])
+    def test_is_the_cached_row_summed_in_order(self, q):
+        # the row sum of _rs_row, accumulated from 0j in order of r, is
+        # rs_function bit for bit, so rs_function may read the cached row
+        qp = QParam.from_q(q)
+        for n in range(41):
+            row = _rs_row(n, qp)
+            norm = math.sqrt(qfactorial(n, qp))
+            for phi in phase_grid(37):
+                acc = 0j
+                for r, a in enumerate(row):
+                    acc += a * cmath.exp(1j * r * phi)
+                assert rs_function(n, phi, qp) == acc / norm, (n, phi)
 
     @pytest.mark.parametrize("q", Q_TRIO)
     def test_abs_squared_rows_are_the_squared_moduli(self, q):

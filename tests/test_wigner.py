@@ -160,7 +160,7 @@ class TestCarlitzRoutes:
         # cancel terms of size ~q^{-10}, down to zero
         qp = QParam.from_q(q)
         bandwidth = math.ceil(math.sqrt(math.log(1e12) / qp.mu))
-        k_quad = max(256, 2 ** math.ceil(math.log2(8 * 10 + 2 * bandwidth + 2)))
+        k_quad = 2 ** math.ceil(math.log2(8 * 10 + 2 * bandwidth + 2))
         for m in range(11):
             for n in range(m + 1):
                 quad = orthogonality_quadrature(m, n, qp, k_quad)
