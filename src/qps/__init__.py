@@ -7,7 +7,7 @@ with its action/angle marginals (wigner).  The relation checks behind
 `qps verify` live in qps.verify and the command-line front end in qps.cli.
 """
 
-from .errors import ImaginaryResidueError, NonConvergenceError, ResolutionWarning
+from .errors import ImaginaryResidueError, NonConvergenceError
 from .qalgebra import (
     AlgebraReport,
     apply_Adag_poly,
@@ -56,7 +56,6 @@ __all__ = [
     "MU_SWITCH",
     "NonConvergenceError",
     "QParam",
-    "ResolutionWarning",
     "ThetaEval",
     "ThetaRepresentation",
     "action_distribution",

@@ -212,7 +212,7 @@ def poly(q, mu, n, grid_points, fmt, out):
     check_options(n=n, grid_points=grid_points)
     with numeric_exit():
         grid = phase_grid(grid_points)
-        coeff_rows = [[float(c) for c in rs_coefficients(k, qp)] for k in range(n + 1)]
+        coeff_rows = [list(rs_coefficients(k, qp)) for k in range(n + 1)]
         r2 = rs_abs_squared_rows(n, grid, qp)
     write_table(fmt, out, lambda: {
         "command": "poly",
@@ -359,7 +359,7 @@ def verify(q, mu, n, tol, out):
     qp = resolve_knob(q, mu)
     check_options(n=n, tol=tol)
     with numeric_exit():
-        report = build_verify_report(qp, max(n, 2), tol)
+        report = build_verify_report(qp, n, tol)
     write_table("json", out, lambda: report)
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]

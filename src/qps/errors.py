@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
 
@@ -28,7 +28,3 @@ class ImaginaryResidueError(RuntimeError):
         super().__init__(f"{what}: |imaginary residue| {residue:.3e} >= tol {tol:.3e}")
         self.residue = residue
         self.tol = tol
-
-
-class ResolutionWarning(UserWarning):
-    """A quadrature grid is too coarse for the integrand's estimated bandwidth."""

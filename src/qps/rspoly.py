@@ -77,18 +77,15 @@ def rs_function(n: int, phi: float, qp: QParam) -> complex:
 def rs_abs_squared_rows(n: int, thetas: Sequence[float], qp: QParam) -> list[list[float]]:
     """|R_k(theta)|^2 at each angle, one row for each k = 0..n.
 
-    Each entry is abs(rs_function(k, theta, qp)) ** 2; OverflowError names
-    the first k whose |R_k|^2 passes double range.
+    Each entry is re^2 + im^2 of r = rs_function(k, theta, qp), as in the
+    angle marginal; OverflowError names the first k whose |R_k|^2 passes
+    double range.
     """
     rows = []
     for k in range(n + 1):
-        moduli = [abs(rs_function(k, th, qp)) for th in thetas]
-        try:
-            row = [r ** 2 for r in moduli]
-            finite = all(map(math.isfinite, row))
-        except OverflowError:
-            finite = False
-        if not finite:
+        values = [rs_function(k, th, qp) for th in thetas]
+        row = [r.real * r.real + r.imag * r.imag for r in values]
+        if not all(map(math.isfinite, row)):
             raise OverflowError(f"|R_k|^2 overflows double precision at k={k}, q={qp.q}")
         rows.append(row)
     return rows

@@ -28,9 +28,10 @@ from .wigner import (
 def build_verify_report(qp: QParam, n_max: int, tol: float) -> dict:
     """Relation report: algebra residuals, orthogonality triangle, theta_3
     dual representation, and the marginal checks; all scale-aware."""
+    n_max = max(2, n_max)
     checks = []
 
-    algebra = verify_algebra(max(2, n_max), qp, tol)
+    algebra = verify_algebra(n_max, qp, tol)
     checks.append({
         "name": "algebra_relations",
         "residuals": {k: v for k, v in sorted(algebra.residuals.items())},
@@ -38,18 +39,13 @@ def build_verify_report(qp: QParam, n_max: int, tol: float) -> dict:
     })
 
     top = min(n_max, 10)
-    # the quadrature and the angle checks size their grid from n and the
-    # theta_3 bandwidth, which grows like 1/sqrt(mu) as q -> 1
-    quad_tol = min(tol, 1e-12)
-    bandwidth = _theta3_bandwidth(qp.mu, quad_tol)
-    k_quad = 2 ** math.ceil(math.log2(8 * top + 2 * bandwidth + 2))
     # all three routes are symmetric in (m, n) bitwise, so one triangle suffices
     worst_tri = 0.0
     for m in range(top + 1):
         for nn in range(m, top + 1):
             closed = carlitz_closed_form(m, nn, qp)
             dsum = carlitz_double_sum(m, nn, qp)
-            quad = orthogonality_quadrature(m, nn, qp, k_quad, tol=quad_tol)
+            quad = orthogonality_quadrature(m, nn, qp)
             scale = max(1.0, abs(closed))
             worst_tri = max(
                 worst_tri,
@@ -60,7 +56,6 @@ def build_verify_report(qp: QParam, n_max: int, tol: float) -> dict:
     checks.append({
         "name": "orthogonality_triangle",
         "n_top": top,
-        "quadrature_grid_points": k_quad,
         "max_scaled_residual": worst_tri,
         "passed": worst_tri < tol,
     })
@@ -99,10 +94,16 @@ def build_verify_report(qp: QParam, n_max: int, tol: float) -> dict:
         "passed": worst_action < max(tol, 1e-8),
     })
 
-    # fsum, as sum() over floats is compensated only from Python 3.12
+    # the angle grid is sized from n and the theta_3 bandwidth, which grows
+    # like 1/sqrt(mu) as q -> 1; its 8 * top term keeps the float mean of
+    # Omega resolved there.  fsum, as sum() over floats is compensated only
+    # from Python 3.12
+    angle_tol = min(tol, 1e-12)
+    bandwidth = _theta3_bandwidth(qp.mu, angle_tol)
+    k_angle = 2 ** math.ceil(math.log2(8 * top + 2 * bandwidth + 2))
     worst_norm = 0.0
-    for values in _angle_columns(sorted({0, 1, n_check}), qp, phase_grid(k_quad), quad_tol):
-        worst_norm = max(worst_norm, abs(1.0 / k_quad * math.fsum(values) - 1.0))
+    for values in _angle_columns(sorted({0, 1, n_check}), qp, phase_grid(k_angle), angle_tol):
+        worst_norm = max(worst_norm, abs(1.0 / k_angle * math.fsum(values) - 1.0))
     checks.append({
         "name": "angle_normalization",
         "max_residual": worst_norm,

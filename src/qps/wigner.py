@@ -54,13 +54,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
 from itertools import accumulate, repeat
 from operator import mul
 
-from .errors import ImaginaryResidueError, ResolutionWarning
+from .errors import ImaginaryResidueError
 from .qseries import QParam, _qbinomial_row, qfactorial
 from .rspoly import _rs_row, rs_function
 from .theta import theta3
@@ -225,6 +224,26 @@ def _grid_cos_sin(k_points: int, bits: int) -> tuple[list[int], list[int]]:
     return cos_k, sin_k
 
 
+def _quad_scale(q: float, n_top: int) -> tuple[int, int]:
+    """(frac, t_cut): the scale 2^frac of the quadrature tables for the rows
+    H_0..H_{n_top}, and theta_3's Fourier cutoff at that scale.
+
+    frac keeps QUADRATURE_DPS digits below the largest integrand term: the
+    Gaussian binomials satisfy 0 <= [j r]_q <= C(j, r), so |H_j(y)| <=
+    (1 + |y|)^j = (1 + e^mu)^j, and theta_3 <= 1 + sqrt(pi/mu).  From t_cut
+    on, every theta_3 coefficient e^{-mu t^2} is below half a unit of 2^-frac.
+    """
+    mu = -math.log(q) / 2.0
+    frac = (
+        round((QUADRATURE_DPS + 1) * math.log2(10))
+        + math.ceil(
+            2 * n_top * math.log2(1.0 + math.exp(mu)) + math.log2(1.0 + math.sqrt(math.pi / mu))
+        )
+        + _QUAD_GUARD_BITS
+    )
+    return frac, math.ceil(math.sqrt((frac + 1) * math.log(2) / mu))
+
+
 @lru_cache(maxsize=16)
 def _mp_quad_tables(q: float, k_points: int, n_top: int):
     """theta_3 and H_0..H_{n_top} over the uniform grid, in exact fixed point.
@@ -233,11 +252,7 @@ def _mp_quad_tables(q: float, k_points: int, n_top: int):
     rows[j] = (Re H_j, Im H_j, w theta_3 Re H_j, w theta_3 Im H_j) over the
     grid points k = 0..K/2.  The points K - k mirror k (theta_3 is even and
     H_j(conj y) = conj H_j(y)), so each inner point carries weight w = 2 and
-    the two self-mirrored points w = 1.
-
-    frac keeps QUADRATURE_DPS digits below the largest integrand term: the
-    Gaussian binomials satisfy 0 <= [j r]_q <= C(j, r), so |H_j(y)| <=
-    (1 + |y|)^j = (1 + e^mu)^j, and theta_3 <= 1 + sqrt(pi/mu).
+    the two self-mirrored points w = 1.  frac comes from _quad_scale.
 
     The constants are built from the binary value q = N / 2^b at a wider
     scale 2^wide and rounded once onto 2^frac.  Those algebraic in q are
@@ -254,12 +269,7 @@ def _mp_quad_tables(q: float, k_points: int, n_top: int):
     by name.
     """
     mu = -math.log(q) / 2.0
-    theta_max = 1.0 + math.sqrt(math.pi / mu)
-    frac = (
-        round((QUADRATURE_DPS + 1) * math.log2(10))
-        + math.ceil(2 * n_top * math.log2(1.0 + math.exp(mu)) + math.log2(theta_max))
-        + _QUAD_GUARD_BITS
-    )
+    frac, t_cut = _quad_scale(q, n_top)
     # theta_3 terms below e^{-ulp_exponent}, half a unit in the last place, are dropped
     ulp_exponent = (frac + 1) * math.log(2)
     half = k_points // 2
@@ -280,6 +290,7 @@ def _mp_quad_tables(q: float, k_points: int, n_top: int):
 
         # Gaussian sum over the unwrapped grid x_j = 2 pi j / K - pi: theta_3
         # at point k folds in every x_j with j = k (mod K); x_{K-j} = -x_j
+        theta_max = 1.0 + math.sqrt(math.pi / mu)
         x_max = 2.0 * math.sqrt(mu * (ulp_exponent + math.log(theta_max)))
         j_hi = math.floor((math.pi + x_max) * k_points / (2 * math.pi))
         # G^{d^2} amplifies the error of G by d^2, so G gets 2 bitlen(d) more bits
@@ -308,7 +319,6 @@ def _mp_quad_tables(q: float, k_points: int, n_top: int):
     else:
         # Fourier series, cos(t theta_k) = (-1)^t cos(2 pi t k / K), with
         # weights e^{-mu t^2} = s^{t^2}, s = sqrt(q): T(t+1) = T(t) s^{2t+1}
-        t_cut = math.ceil(math.sqrt(ulp_exponent / mu))
         half_unit = 1 << (wide - 1)
         s = math.isqrt((num << 2 * wide) >> b)
         s2 = (s * s + half_unit) >> wide
@@ -353,36 +363,23 @@ def _mp_quad_tables(q: float, k_points: int, n_top: int):
     )
 
 
-def orthogonality_quadrature(
-    m: int, n: int, qp: QParam, k_points: int, tol: float = 1e-12
-) -> float:
-    """I_mn by trapezoidal quadrature of H_m H_n^* theta_3 over the uniform
-    k_points-point grid of phase_grid.
+def orthogonality_quadrature(m: int, n: int, qp: QParam) -> float:
+    """I_mn by trapezoidal quadrature of H_m H_n^* theta_3 over a uniform grid
+    that leaves nothing to alias.
 
-    The integrand is periodic and band-limited up to m + n plus the theta_3
-    bandwidth at tol, so the uniform trapezoid rule converges spectrally; a
-    ResolutionWarning fires when the grid cannot resolve that bandwidth.
-    The off-diagonal integral cancels values of size ~q^{-(m+n)/2}, so the
-    sum runs on the exact fixed-point tables of _mp_quad_tables: it is an
-    integer dot product, rounded once to a float, and is symmetric in (m, n)
-    bitwise.
+    The rows come from the table of the smallest multiple n_top of 8 that
+    holds H_max(m, n), on K = 2 n_top + t_cut + 1 points (_quad_scale): K
+    points integrate every frequency below K exactly, the H part has degree
+    at most 2 n_top, and every theta_3 coefficient from t_cut on is below
+    half a unit of the table.  The off-diagonal integral cancels values of
+    size ~q^{-(m+n)/2}, so the sum runs on the exact fixed-point tables of
+    _mp_quad_tables: it is an integer dot product, rounded once to a float,
+    and is symmetric in (m, n) bitwise.
     """
     if m < 0 or n < 0:
         raise ValueError(f"m, n must be >= 0, got m={m}, n={n}")
-    if k_points < 2:
-        raise ValueError(f"need at least 2 grid points, got {k_points}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    bandwidth = m + n + _theta3_bandwidth(qp.mu, tol)
-    if bandwidth > k_points // 2 - 1:
-        warnings.warn(
-            f"{k_points}-point grid cannot resolve estimated Fourier bandwidth "
-            f"{bandwidth} for (m={m}, n={n}, q={qp.q})",
-            ResolutionWarning,
-            stacklevel=2,
-        )
-    # the smallest multiple of 8 whose table holds rows H_0..H_max(m, n)
     n_top = 8 * max(1, -(-max(m, n) // 8))
+    k_points = 2 * n_top + _quad_scale(qp.q, n_top)[1] + 1
     frac, rows = _mp_quad_tables(qp.q, k_points, n_top)
     _, _, wre_m, wim_m = rows[m]
     re_n, im_n = rows[n][:2]

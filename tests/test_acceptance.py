@@ -58,7 +58,7 @@ def test_criterion_01_orthogonality_triangle():
                 routes = (
                     carlitz_double_sum(m, n, qp),
                     carlitz_closed_form(m, n, qp),
-                    orthogonality_quadrature(m, n, qp, GRID_POINTS, 1e-12),
+                    orthogonality_quadrature(m, n, qp),
                 )
                 for i in range(3):
                     for j in range(i + 1, 3):

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qps
-from qps import NonConvergenceError, QParam, ResolutionWarning, theta3
+from qps import NonConvergenceError, QParam, theta3
 from qps.errors import ImaginaryResidueError
 from qps.cli import build_verify_report, cli
 from qps.wigner import _mp_quad_tables
@@ -222,27 +221,26 @@ class TestVerify:
     def test_marginal_grids_resolve_bandwidth_near_q_one(self):
         # a 256-point grid aliases the q = 0.9999 spectrum and under-resolves
         # theta_3; the marginal checks size their grid from the bandwidth
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResolutionWarning)
-            report = build_verify_report(QParam.from_q(0.9999), 2, 1e-10)
+        report = build_verify_report(QParam.from_q(0.9999), 2, 1e-10)
         assert report["passed"] is True
 
     @pytest.mark.parametrize("q", [1e-4, 1e-3, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999])
     def test_passes_across_domain(self, q):
-        # q = 0.9999 at n = 2 is the case above; verify's derived grid is
-        # smallest at n = 2, and n = 8 reads one quadrature table
-        for n in (2, 8, 10):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", ResolutionWarning)
-                report = build_verify_report(QParam.from_q(q), n, 1e-10)
+        # q = 0.9999 at n = 2 is the case above; n = 0 runs as n = 2, whose
+        # angle grid is the smallest, and n = 8 reads one quadrature table
+        for n in (0, 2, 8, 10):
+            report = build_verify_report(QParam.from_q(q), n, 1e-10)
             failing = [c for c in report["checks"] if not c["passed"]]
             assert report["passed"] is True, (n, failing)
 
     def test_n8_builds_one_quadrature_table(self):
-        # the n_top = 8 table holds H_0..H_8
+        # the n_top = 8 table holds H_0..H_8; n = 9 and 10 add the n_top = 16 one
         _mp_quad_tables.cache_clear()
         assert run("verify", "--q", "0.5", "--n", "8").exit_code == 0
         assert _mp_quad_tables.cache_info().misses == 1
+        _mp_quad_tables.cache_clear()
+        assert run("verify", "--q", "0.5", "--n", "10").exit_code == 0
+        assert _mp_quad_tables.cache_info().misses == 2
 
     def test_algebra_passes_where_qnumbers_near_1e3(self):
         # rounding in k [k]_q alone reaches 1e-10 here; verify checks only the
@@ -264,12 +262,10 @@ class TestVerify:
         # q log-spread in mu over [1e-4, 1 - 1e-4]; the errors are the ones
         # the CLI maps to exit 3, so verify never exits 0 on a failed check
         qp = QParam.from_mu(math.exp(log_mu))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ResolutionWarning)
-            try:
-                report = build_verify_report(qp, n, 1e-10)
-            except (NonConvergenceError, ImaginaryResidueError, OverflowError):
-                return
+        try:
+            report = build_verify_report(qp, n, 1e-10)
+        except (NonConvergenceError, ImaginaryResidueError, OverflowError):
+            return
         failing = [c for c in report["checks"] if not c["passed"]]
         assert report["passed"] is True, (qp.q, n, failing)
 

@@ -14,9 +14,9 @@ from qps.cli import cli
 
 GOLDEN = [
     (("poly", "--q", "0.5", "--n", "3", "--grid-points", "16"),
-     "cb3103ea447e732e2062a101d21da09afde785332a6a7e8642b8540e00de0f15"),
+     "eb73823082fc259921bd47abfe891938023a88c396f287d45537dc7baf2cecd8"),
     (("poly", "--q", "0.5", "--n", "3", "--grid-points", "16", "--format", "json"),
-     "654d2ac3dd8afcebf3af53ae141a0c288884d1564372c284cb17e782b754fead"),
+     "f6984cf9c50f212a72feb093f8f8b075923aed6bac079211417bc5c2e2a9f79c"),
     (("theta", "--q", "0.5", "--grid-points", "16"),
      "a670883488f67509e15960721f86721b34bee4fac554d8caa52eb418939fc649"),
     (("theta", "--mu", "3.0", "--grid-points", "16", "--format", "json"),
@@ -39,16 +39,16 @@ GOLDEN = [
     (("wigner", "--q", "0.0811", "--n", "150", "--m", "152", "--grid-points", "4096"),
      "bdba30a5386b63cb7aa252cf33dae824e38313bcd0cf57809e1e317e8d85e5b4"),
     (("verify", "--q", "0.5", "--n", "3"),
-     "341baadf4f25d57a4dbb14bdb9f79a103a60e6d7163f1f7c03d9ec048a84c631"),
+     "661da982818ad7e90c629bead5dd464a503d6c680622838a174faafcc9e57ed0"),
     # n = 9 and 10 need the n_top = 16 table beside the n_top = 8 one
     (("verify", "--q", "0.004", "--n", "10"),
-     "9dfc692cd832fe87950fc3f9695ef355cfb10f82d6fcc9b2786ce3c0b8253c7c"),
-    # Gaussian theta_3 branch: the theta_3 bandwidth sizes a 512-point grid
+     "d83996e192b6394ccca202dd49b54fd81c6437fd55df748ceb52cbadb03d4c23"),
+    # Gaussian theta_3 branch: a 353-point quadrature table and a 512-point angle grid
     (("verify", "--q", "0.998", "--n", "6"),
-     "1374b3ba089d6aef9a62ee981fc0420e7fbb1943ce0a92173d325780167f2f9c"),
+     "175914ade0d2d66617b4a193eb060993bf283f91c500d30360e7d1ebdbe70355"),
     # [k]_q up to ~950: both algebra residuals stay near eps once scaled by [k+1]_q
     (("verify", "--q", "0.9999", "--n", "1000"),
-     "985b2075a2cf11c1e011b3ca784340026c8ab315b0a6f43e57f95dc8975d7ea1"),
+     "6a462f251f16c9dd0c59a09a469cf03a6b614afa85290c8bfe9585ee522550d2"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,8 +191,13 @@ class TestRSFunction:
         rows = rs_abs_squared_rows(6, grid, qp)
         assert len(rows) == 7
         for k, row in enumerate(rows):
-            expected = [abs(rs_function(k, th, qp)) ** 2 for th in grid]
+            values = [rs_function(k, th, qp) for th in grid]
+            expected = [r.real * r.real + r.imag * r.imag for r in values]
             assert [x.hex() for x in row] == [x.hex() for x in expected]
+            # within 1.25 ulp of the exact |r|^2 of the float parts
+            for x, r in zip(row, values):
+                exact = Fraction(r.real) ** 2 + Fraction(r.imag) ** 2
+                assert abs(Fraction(x) - exact) <= Fraction(5, 4) * Fraction(math.ulp(x)), (k, r)
 
     def test_abs_squared_rows_overflow_names_k(self):
         # |R_k|^2 passes double range at k = 103, q = 1 - 1e-4

@@ -7,7 +7,6 @@ import pytest
 from qps import (
     QParam,
     angle_distribution_from_wigner,
-    orthogonality_quadrature,
     theta3_gaussian,
     theta3_series,
     verify_algebra,
@@ -20,7 +19,6 @@ QP = QParam.from_q(0.5)
 CALLS = {
     "theta3_series": lambda tol: theta3_series(0.3, QP, tol),
     "theta3_gaussian": lambda tol: theta3_gaussian(0.3, QP, tol),
-    "orthogonality_quadrature": lambda tol: orthogonality_quadrature(1, 1, QP, 64, tol),
     "wigner_one_sided": lambda tol: wigner_one_sided(2, 2, 0.3, QP, tol),
     "wigner_grid": lambda tol: wigner_grid(2, 2, QP, (0.3,), tol),
     "angle_distribution_from_wigner":

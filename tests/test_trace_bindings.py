@@ -68,9 +68,9 @@ def test_verify_report_and_its_layers_are_traced(tracer, capsys):
     for name in ("wigner.carlitz_double_sum", "wigner.orthogonality_quadrature",
                  "qalgebra.verify_algebra", "rspoly.rs_function"):
         assert totals.get(name, {"calls": 0})["calls"] > 0, name
-    # the angle check evaluates theta_3 once per grid point for all its n
-    grid_points = report["checks"][1]["quadrature_grid_points"]
-    assert totals["theta.theta3"]["calls"] == grid_points
+    # the angle check evaluates theta_3 once per point of its grid, for all
+    # its n; at q = 0.5, n = 3 that grid has 2^ceil(log2(8*3 + 2*9 + 2)) = 64
+    assert totals["theta.theta3"]["calls"] == 64
     assert qps.verify.carlitz_double_sum is qps.wigner.carlitz_double_sum
 
 

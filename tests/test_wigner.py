@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qps import (
     QParam,
-    ResolutionWarning,
     action_distribution,
     action_table,
     angle_distribution,
@@ -150,24 +149,31 @@ class TestCarlitzRoutes:
         qp = QParam.from_q(q)
         for m in range(11):
             for n in range(11):
-                quad = orthogonality_quadrature(m, n, qp, GRID_POINTS, 1e-12)
+                quad = orthogonality_quadrature(m, n, qp)
                 closed = carlitz_closed_form(m, n, qp)
                 assert abs(quad - closed) <= 1e-10 * max(1.0, abs(closed))
 
-    @pytest.mark.parametrize("q", [1e-4, 0.004, 0.5, 0.998])
+    @pytest.mark.parametrize("q", [1e-4, 0.004, 0.135, 0.5, 0.9, 0.998, 0.9999])
     def test_quadrature_oracle_accuracy(self, q):
-        # on the grid `qps verify` sizes for n = 10: the off-diagonal integrals
-        # cancel terms of size ~q^{-10}, down to zero
+        # against the exact I_mn on the binary value of q: the off-diagonal
+        # integrals cancel terms of size ~q^{-16} down to zero, and the
+        # diagonal is (q;q)_n q^{-n} within one ulp, since at q = 0.5 the
+        # exact value sits on a rounding tie for n = 10, 12 and 14
         qp = QParam.from_q(q)
-        bandwidth = math.ceil(math.sqrt(math.log(1e12) / qp.mu))
-        k_quad = 2 ** math.ceil(math.log2(8 * 10 + 2 * bandwidth + 2))
-        for m in range(11):
-            for n in range(m + 1):
-                quad = orthogonality_quadrature(m, n, qp, k_quad)
-                closed = carlitz_closed_form(m, n, qp)
-                assert abs(quad - closed) / max(1.0, abs(closed)) < 1e-13, (m, n)
+        qf = Fraction(q)
+        exact = Fraction(1)
+        for n in range(17):
+            if n:
+                exact *= 1 - qf**n
+            for m in range(n + 1):
+                quad = orthogonality_quadrature(m, n, qp)
+                if m == n:
+                    value = exact / qf**n
+                    assert abs(Fraction(quad) - value) <= math.ulp(float(value)), n
+                else:
+                    assert abs(quad) <= 1e-40, (m, n)
                 # the integer sum is exact, so the swap is bitwise
-                assert orthogonality_quadrature(n, m, qp, k_quad) == quad, (m, n)
+                assert orthogonality_quadrature(n, m, qp) == quad, (m, n)
 
     @pytest.mark.parametrize("q", [1e-4, 0.004, 0.5, 0.998])
     def test_closed_form_accuracy(self, q):
@@ -182,14 +188,9 @@ class TestCarlitzRoutes:
             assert abs(Fraction(carlitz_closed_form(n, n, qp)) - value) / value < 1e-15, n
 
     def test_quadrature_normalization(self):
-        assert orthogonality_quadrature(0, 0, QParam.from_q(0.5), GRID_POINTS) == pytest.approx(
+        assert orthogonality_quadrature(0, 0, QParam.from_q(0.5)) == pytest.approx(
             1.0, abs=1e-12
         )
-
-    def test_quadrature_warns_on_coarse_grid(self):
-        qp = QParam.from_q(0.9)
-        with pytest.warns(ResolutionWarning):
-            orthogonality_quadrature(10, 10, qp, 16, 1e-12)
 
     def test_domain_errors(self):
         qp = QParam.from_q(0.5)
@@ -197,9 +198,6 @@ class TestCarlitzRoutes:
             carlitz_double_sum(-1, 0, qp)
         with pytest.raises(ValueError):
             carlitz_closed_form(0, -2, qp)
-        for k_points in (0, 1):
-            with pytest.raises(ValueError, match=f"need at least 2 grid points, got {k_points}"):
-                orthogonality_quadrature(0, 0, qp, k_points)
 
 
 class TestWignerEval:
