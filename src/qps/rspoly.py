@@ -15,7 +15,8 @@ The substitution y = -q^{-1/2} e^{i phi} blows up as q -> 0, so angle-space
 evaluation is reliable on the practical domain q in [1e-4, 1 - 1e-4];
 rs_function folds the q^{n/2} prefactor into the sum term by term; _rs_row
 gives those bounded coefficients a_r, the row behind the Wigner weights;
-rs_abs_squared_rows gives the |R_k|^2 rows behind `qps poly`.
+_abs_squared_rows is the one |R_k(theta)|^2 evaluator, behind `qps poly`
+(rs_abs_squared_rows), `qps angle-dist` and the angle check of `qps verify`.
 
 A polynomial is its coefficient tuple, lowest degree first; () is zero.
 """
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .qseries import QParam, _qbinomial_row, qbinomial, qfactorial, qnumber
 
@@ -74,17 +75,20 @@ def rs_function(n: int, phi: float, qp: QParam) -> complex:
     return acc / norm
 
 
-def rs_abs_squared_rows(n: int, thetas: Sequence[float], qp: QParam) -> list[list[float]]:
-    """|R_k(theta)|^2 at each angle, one row for each k = 0..n.
-
-    Each entry is re^2 + im^2 of r = rs_function(k, theta, qp), as in the
-    angle marginal; OverflowError names the first k whose |R_k|^2 passes
-    double range.
-    """
-    rows = []
-    for k in range(n + 1):
+def _abs_squared_rows(ns: Sequence[int], thetas: Sequence[float], qp: QParam) -> Iterator[list]:
+    """re^2 + im^2 of each r = rs_function(k, theta, qp), one row per k of ns, yielded
+    lazily so a reader checks row k before R_{k+1}; the readers name any overflow."""
+    for k in ns:
         values = [rs_function(k, th, qp) for th in thetas]
-        row = [r.real * r.real + r.imag * r.imag for r in values]
+        yield [r.real * r.real + r.imag * r.imag for r in values]
+
+
+def rs_abs_squared_rows(n: int, thetas: Sequence[float], qp: QParam) -> list[list[float]]:
+    """|R_k|^2 rows for k = 0..n; OverflowError names the first k past double range."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    rows = []
+    for k, row in enumerate(_abs_squared_rows(range(n + 1), thetas, qp)):
         if not all(map(math.isfinite, row)):
             raise OverflowError(f"|R_k|^2 overflows double precision at k={k}, q={qp.q}")
         rows.append(row)

@@ -61,7 +61,7 @@ from operator import mul
 
 from .errors import ImaginaryResidueError
 from .qseries import QParam, _qbinomial_row, qfactorial
-from .rspoly import _rs_row, rs_function
+from .rspoly import _abs_squared_rows, _rs_row
 from .theta import theta3
 
 #: decimal digits the quadrature orthogonality route keeps below the largest
@@ -167,7 +167,13 @@ def carlitz_closed_form(m: int, n: int, qp: QParam) -> float:
         raise ValueError(f"m, n must be >= 0, got m={m}, n={n}")
     if m != n:
         return 0.0
-    return qfactorial(n, qp) * qp.q ** -n
+    try:
+        inv_power = qp.q ** -n
+    except OverflowError:
+        raise OverflowError(
+            f"Carlitz diagonal q^-n overflows double precision at n={n}, q={qp.q}"
+        ) from None
+    return qfactorial(n, qp) * inv_power
 
 
 def _round_shift(x: int, bits: int) -> int:
@@ -460,18 +466,18 @@ def _wigner_spectrum(
     for t in range(-t_cut, t_cut + 1):
         wts.append(math.exp(-qp.mu * t * t))
         lo, hi = t_cut + t, t_cut - t
-        row = [0.5 * (x + y) for x, y in zip(ker_table[lo : lo + 2 * n + 1], ker_table[hi:])]
-        # after the reversal the kernel of pair i of diagonal d is row[2i + d],
-        # that is kers[.][d & 1][d // 2 + i]
+        row = [0.5 * (x + y) for x, y in zip(ker_table[lo : lo + 2 * n + 1],
+                                             ker_table[hi : hi + 2 * n + 1])]
+        # after the reversal the kernel of pair i of diagonal d is row[2i + d]
         row.reverse()
-        kers.append((row[0::2], row[1::2]))
+        kers.append(row)
     amp = {}
     for f in range(-(n + t_cut), n + t_cut + 1):
         parts = []
         for t in range(max(-t_cut, f - n), min(t_cut, f + n) + 1):
             d = abs(f - t)
             wt = wts[t + t_cut]
-            ker = kers[t + t_cut][d & 1][d >> 1 :]
+            ker = kers[t + t_cut][d::2]
             parts += [(wt * w) * k for w, k in zip(diags[d], ker) if k != 0.0]
         if parts:
             amp[f] = math.fsum(parts)
@@ -641,24 +647,21 @@ def circular_variance(values: Sequence[float], thetas: Sequence[float]) -> float
 def _angle_columns(
     ns: Sequence[int], qp: QParam, thetas: Sequence[float], tol: float
 ) -> list[tuple[float, ...]]:
-    """Omega^(n) = theta_3 |R_n|^2 at each angle of thetas for each n of ns;
-    theta_3 does not depend on n, so it is evaluated once per angle.
-    OverflowError names the first n whose column is not finite."""
+    """Omega^(n) = theta_3 |R_n|^2 at each angle of thetas for each n of ns, for
+    angle_table and verify's angle check: theta_3 once per angle, |R_n|^2 from
+    _abs_squared_rows, the evaluator `qps poly` reads too.  OverflowError names
+    the first n whose column is not finite."""
     for n in ns:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-    columns = [[] for _ in ns]
-    for th in thetas:
-        weight = theta3(th, qp, tol).value
-        for n, column in zip(ns, columns):
-            r = rs_function(n, th, qp)
-            column.append(weight * (r.real * r.real + r.imag * r.imag))
+    weights = [theta3(th, qp, tol).value for th in thetas]
+    columns = [tuple(map(mul, weights, row)) for row in _abs_squared_rows(ns, thetas, qp)]
     for n, column in zip(ns, columns):
         if not all(map(math.isfinite, column)):
             raise OverflowError(
                 f"angle marginal Omega^(n) is not finite in double precision at n={n}, q={qp.q}"
             )
-    return [tuple(column) for column in columns]
+    return columns
 
 
 def angle_table(

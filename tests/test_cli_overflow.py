@@ -25,6 +25,9 @@ runner = CliRunner()
         # |R_k|^2 passes double range at k = 103
         (["poly", "--q", "0.9999", "--n", "110", "--grid-points", "8"],
          ["|R_k|^2", "k=103", "q=0.9999"]),
+        # the Carlitz diagonal q^-n passes double range at n = 8, q = 1e-40
+        (["verify", "--q", "1e-40", "--n", "10"],
+         ["q^-n", "n=8", "q=1e-40"]),
     ],
 )
 def test_overflow_exits_3_naming_the_quantity(args, names):

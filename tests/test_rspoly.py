@@ -199,7 +199,14 @@ class TestRSFunction:
                 exact = Fraction(r.real) ** 2 + Fraction(r.imag) ** 2
                 assert abs(Fraction(x) - exact) <= Fraction(5, 4) * Fraction(math.ulp(x)), (k, r)
 
+    def test_abs_squared_rows_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            rs_abs_squared_rows(-1, phase_grid(8), QParam.from_q(0.5))
+
     def test_abs_squared_rows_overflow_names_k(self):
-        # |R_k|^2 passes double range at k = 103, q = 1 - 1e-4
-        with pytest.raises(OverflowError, match=r"\|R_k\|\^2 .* k=103, q=0\.9999"):
-            rs_abs_squared_rows(110, phase_grid(8), QParam.from_q(0.9999))
+        # |R_k|^2 passes double range at k = 103, q = 1 - 1e-4; at n = 200 the
+        # rows are checked as they are evaluated, so the underflowed
+        # normalization of R_200 is never reached
+        for n in (110, 200):
+            with pytest.raises(OverflowError, match=r"\|R_k\|\^2 .* k=103, q=0\.9999"):
+                rs_abs_squared_rows(n, phase_grid(8), QParam.from_q(0.9999))

@@ -26,6 +26,7 @@ from qps import (
     wigner_grid,
     wigner_one_sided,
 )
+from qps.rspoly import rs_abs_squared_rows
 
 Q_TRIO = (0.1, 0.5, 0.9)
 GRID_POINTS = 256
@@ -144,16 +145,7 @@ class TestCarlitzRoutes:
                 else:
                     assert abs(dsum - closed) < 1e-10
 
-    @pytest.mark.parametrize("q", Q_TRIO)
-    def test_triangle_quadrature_route(self, q):
-        qp = QParam.from_q(q)
-        for m in range(11):
-            for n in range(11):
-                quad = orthogonality_quadrature(m, n, qp)
-                closed = carlitz_closed_form(m, n, qp)
-                assert abs(quad - closed) <= 1e-10 * max(1.0, abs(closed))
-
-    @pytest.mark.parametrize("q", [1e-4, 0.004, 0.135, 0.5, 0.9, 0.998, 0.9999])
+    @pytest.mark.parametrize("q", [1e-4, 0.004, 0.1, 0.135, 0.5, 0.9, 0.998, 0.9999])
     def test_quadrature_oracle_accuracy(self, q):
         # against the exact I_mn on the binary value of q: the off-diagonal
         # integrals cancel terms of size ~q^{-16} down to zero, and the
@@ -187,17 +179,17 @@ class TestCarlitzRoutes:
             value = exact / qf**n
             assert abs(Fraction(carlitz_closed_form(n, n, qp)) - value) / value < 1e-15, n
 
-    def test_quadrature_normalization(self):
-        assert orthogonality_quadrature(0, 0, QParam.from_q(0.5)) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
     def test_domain_errors(self):
         qp = QParam.from_q(0.5)
         with pytest.raises(ValueError):
             carlitz_double_sum(-1, 0, qp)
         with pytest.raises(ValueError):
             carlitz_closed_form(0, -2, qp)
+
+    def test_closed_form_overflow_names_q_power(self):
+        # q^-100 = 1e400 at q = 1e-4, inside the documented domain
+        with pytest.raises(OverflowError, match=r"q\^-n .* n=100, q=0\.0001"):
+            carlitz_closed_form(100, 100, QParam.from_q(1e-4))
 
 
 class TestWignerEval:
@@ -375,6 +367,16 @@ class TestAngleMarginal:
                 a = angle_distribution(n, th, qp)
                 b = angle_distribution(n, -th, qp)
                 assert abs(a - b) <= 1e-12 * a
+
+    @pytest.mark.parametrize("q, n", [(1e-4, 3), (0.1, 7), (0.5, 12), (0.9, 20), (0.9999, 40)])
+    def test_column_is_the_weighted_abs_squared_row(self, q, n):
+        # poly's |R_n|^2 row times theta_3 is the angle column bit for bit:
+        # both read the one |R_k|^2 evaluator
+        qp = QParam.from_q(q)
+        grid = phase_grid(64)
+        row = rs_abs_squared_rows(n, grid, qp)[n]
+        weighted = [theta3(th, qp, 1e-12).value * x for th, x in zip(grid, row)]
+        assert [x.hex() for x in angle_table(n, qp, grid)] == [x.hex() for x in weighted]
 
     @pytest.mark.parametrize("n,theta", [(120, 0.0), (110, 2.0)])
     def test_non_finite_point_raises(self, n, theta):
