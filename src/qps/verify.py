@@ -16,7 +16,7 @@ from .qseries import QParam, qfactorial
 from .theta import theta3_gaussian, theta3_series
 from .wigner import (
     _angle_columns,
-    _theta3_bandwidth,
+    _t_cutoff,
     action_distribution,
     carlitz_closed_form,
     carlitz_double_sum,
@@ -94,13 +94,12 @@ def build_verify_report(qp: QParam, n_max: int, tol: float) -> dict:
         "passed": worst_action < max(tol, 1e-8),
     })
 
-    # the angle grid is sized from n and the theta_3 bandwidth, which grows
+    # the angle grid is sized from n and theta_3's t-cutoff, which grows
     # like 1/sqrt(mu) as q -> 1; its 8 * top term keeps the float mean of
     # Omega resolved there.  fsum, as sum() over floats is compensated only
     # from Python 3.12
     angle_tol = min(tol, 1e-12)
-    bandwidth = _theta3_bandwidth(qp.mu, angle_tol)
-    k_angle = 2 ** math.ceil(math.log2(8 * top + 2 * bandwidth + 2))
+    k_angle = 2 ** math.ceil(math.log2(8 * top + 2 * _t_cutoff(qp.mu, angle_tol)))
     worst_norm = 0.0
     for values in _angle_columns(sorted({0, 1, n_check}), qp, phase_grid(k_angle), angle_tol):
         worst_norm = max(worst_norm, abs(1.0 / k_angle * math.fsum(values) - 1.0))

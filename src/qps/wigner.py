@@ -44,10 +44,9 @@ zero off the diagonal, far below the double-precision rounding floor, so it
 runs in exact integer arithmetic over one common denominator; the quadrature
 route holds its integrand in Python-integer fixed point, QUADRATURE_DPS digits
 below its largest term, and sums it exactly, for the same reason.  Its tables
-are built from integers, plus three constants from the standard library's
-decimal module, which it imports when it first builds a Gaussian-branch
-table.  Everything else is double precision, in Python floats; qps does not
-use numpy.
+are built from integers alone, with theta_3 as the Fourier partial sum that
+the band-limited integrand can see.  Everything else is double precision, in
+Python floats; qps does not use numpy.
 """
 
 from __future__ import annotations
@@ -230,55 +229,51 @@ def _grid_cos_sin(k_points: int, bits: int) -> tuple[list[int], list[int]]:
     return cos_k, sin_k
 
 
-def _quad_scale(q: float, n_top: int) -> tuple[int, int]:
-    """(frac, t_cut): the scale 2^frac of the quadrature tables for the rows
-    H_0..H_{n_top}, and theta_3's Fourier cutoff at that scale.
+def _quad_scale(q: float, n_top: int) -> int:
+    """The scale 2^frac of the quadrature tables for the rows H_0..H_{n_top}.
 
-    frac keeps QUADRATURE_DPS digits below the largest integrand term: the
-    Gaussian binomials satisfy 0 <= [j r]_q <= C(j, r), so |H_j(y)| <=
-    (1 + |y|)^j = (1 + e^mu)^j, and theta_3 <= 1 + sqrt(pi/mu).  From t_cut
-    on, every theta_3 coefficient e^{-mu t^2} is below half a unit of 2^-frac.
+    The Gaussian binomials satisfy 0 <= [j r]_q <= C(j, r), so |H_j(y)| <=
+    (1 + |y|)^j = (1 + e^mu)^j, and theta_3's partial sum is at most
+    1 + sqrt(pi/mu): frac keeps QUADRATURE_DPS digits below that largest
+    integrand term.  The integral cancels from there down to
+    I_nn = (q;q)_n q^{-n} >= (q;q)_{n_top}, so frac also holds
+    -log2 (q;q)_{n_top} more bits, summed as logs so that nothing underflows.
     """
     mu = -math.log(q) / 2.0
-    frac = (
+    return (
         round((QUADRATURE_DPS + 1) * math.log2(10))
         + math.ceil(
             2 * n_top * math.log2(1.0 + math.exp(mu)) + math.log2(1.0 + math.sqrt(math.pi / mu))
         )
+        + math.ceil(-sum(math.log2(1.0 - q**j) for j in range(1, n_top + 1)))
         + _QUAD_GUARD_BITS
     )
-    return frac, math.ceil(math.sqrt((frac + 1) * math.log(2) / mu))
 
 
 @lru_cache(maxsize=16)
-def _mp_quad_tables(q: float, k_points: int, n_top: int):
-    """theta_3 and H_0..H_{n_top} over the uniform grid, in exact fixed point.
+def _mp_quad_tables(q: float, n_top: int):
+    """theta_3 and H_0..H_{n_top} over the uniform grid of K = 2 n_top + 1
+    points, in exact fixed point.
 
     Returns (frac, rows): every value is an integer round(x * 2^frac), and
     rows[j] = (Re H_j, Im H_j, w theta_3 Re H_j, w theta_3 Im H_j) over the
-    grid points k = 0..K/2.  The points K - k mirror k (theta_3 is even and
-    H_j(conj y) = conj H_j(y)), so each inner point carries weight w = 2 and
-    the two self-mirrored points w = 1.  frac comes from _quad_scale.
+    grid points k = 0..n_top.  The points K - k mirror k (theta_3 is even and
+    H_j(conj y) = conj H_j(y)), so each point but k = 0 carries weight w = 2.
+    frac comes from _quad_scale.
 
-    The constants are built from the binary value q = N / 2^b at a wider
-    scale 2^wide and rounded once onto 2^frac.  Those algebraic in q are
-    integers: 1 - q^j = (2^{bj} - N^j) / 2^{bj} is rounded exactly,
-    e^mu = q^{-1/2} and sqrt(q) come from isqrt, and the Fourier weights
-    e^{-mu t^2} = sqrt(q)^{t^2} from the recurrence T(t+1) = T(t) sqrt(q)^{2t+1}.
-    The grid cosines and sines rotate one Taylor-series step, with pi from
-    Machin's formula.  The Gaussian branch takes mu, sqrt(pi/mu) and
-    G = e^{-pi^2 / (4 mu K^2)} from decimal, and every term
-    e^{-(2 pi j/K - pi)^2 / (4 mu)} = G^{d^2}, d = 2j - K, from the
-    recurrence T(d+2) = T(d) G^{4d+4}.  y and the H recurrence are built in
-    integers.  Cached per (q, grid size, basis bucket).  The name keeps its
-    mp (multi-precision) prefix because perfbench/tracer.py binds this cache
-    by name.
+    theta_3 is its Fourier partial sum to t = n_top, the only modes that
+    reach the integral of theta_3 H_m H_n^* for m, n <= n_top.  The constants
+    are built from the binary value q = N / 2^b at a wider scale 2^wide and
+    rounded once onto 2^frac: 1 - q^j = (2^{bj} - N^j) / 2^{bj} is rounded
+    exactly, e^mu = q^{-1/2} and sqrt(q) come from isqrt, and the Fourier
+    weights e^{-mu t^2} = sqrt(q)^{t^2} from the recurrence
+    T(t+1) = T(t) sqrt(q)^{2t+1}.  The grid cosines and sines rotate one
+    Taylor-series step, with pi from Machin's formula.  Cached per (q, basis
+    bucket).  The name keeps its mp (multi-precision) prefix because
+    perfbench/tracer.py binds this cache by name.
     """
-    mu = -math.log(q) / 2.0
-    frac, t_cut = _quad_scale(q, n_top)
-    # theta_3 terms below e^{-ulp_exponent}, half a unit in the last place, are dropped
-    ulp_exponent = (frac + 1) * math.log(2)
-    half = k_points // 2
+    frac = _quad_scale(q, n_top)
+    k_points = 2 * n_top + 1
     # the working scale absorbs the grid rotation's error, which grows like K
     guard = _QUAD_GUARD_BITS + 2 * k_points.bit_length() + 16
     wide = frac + guard
@@ -290,65 +285,32 @@ def _mp_quad_tables(q: float, k_points: int, n_top: int):
     sin_k = [_round_shift(s, guard) for s in sin_w]
     e_mu = _round_shift(math.isqrt((1 << (b + 2 * wide)) // num), guard)
     one_minus_qj = [_round_shift((den**j - num**j) << frac, b * j) for j in range(n_top)]
-    if mu < 1:
-        # imported here, its only use, so that no other qps command loads it
-        from decimal import Decimal, localcontext
-
-        # Gaussian sum over the unwrapped grid x_j = 2 pi j / K - pi: theta_3
-        # at point k folds in every x_j with j = k (mod K); x_{K-j} = -x_j
-        theta_max = 1.0 + math.sqrt(math.pi / mu)
-        x_max = 2.0 * math.sqrt(mu * (ulp_exponent + math.log(theta_max)))
-        j_hi = math.floor((math.pi + x_max) * k_points / (2 * math.pi))
-        # G^{d^2} amplifies the error of G by d^2, so G gets 2 bitlen(d) more bits
-        g_wide = wide + 2 * (2 * j_hi).bit_length() + 8
-        with localcontext() as ctx:
-            ctx.prec = math.ceil(g_wide * math.log10(2)) + 10
-            pi = Decimal(_pi_fixed(g_wide)) / (1 << g_wide)
-            mu_dec = -Decimal(q).ln() / 2
-            pref = int((pi / mu_dec).sqrt() * (1 << g_wide))
-            g = int((-pi * pi / (4 * mu_dec * k_points * k_points)).exp() * (1 << g_wide))
-        one, half_unit = 1 << g_wide, 1 << (g_wide - 1)
-        g4 = (g * g + half_unit) >> g_wide
-        g4 = (g4 * g4 + half_unit) >> g_wide
-        g8 = (g4 * g4 + half_unit) >> g_wide
-        # T = G^{d^2} and U = G^{4d+4}, starting from d = 2j - K at the first j
-        t, u = (g, g8) if k_points & 1 else (one, g4)
-        gauss = {}
-        for j in range((k_points + 1) // 2, j_hi + 1):
-            gauss[j] = _round_shift(pref * t, 2 * g_wide - frac)
-            t = (t * u + half_unit) >> g_wide
-            u = (u * g8 + half_unit) >> g_wide
-        theta = [0] * k_points
-        for j in range(k_points - j_hi, j_hi + 1):
-            theta[j % k_points] += gauss[max(j, k_points - j)]
-        theta = theta[: half + 1]
-    else:
-        # Fourier series, cos(t theta_k) = (-1)^t cos(2 pi t k / K), with
-        # weights e^{-mu t^2} = s^{t^2}, s = sqrt(q): T(t+1) = T(t) s^{2t+1}
-        half_unit = 1 << (wide - 1)
-        s = math.isqrt((num << 2 * wide) >> b)
-        s2 = (s * s + half_unit) >> wide
-        t_pow, step = s, (s2 * s + half_unit) >> wide
-        signed_w = []
-        for t in range(1, t_cut + 1):
-            signed_w.append((-1) ** t * _round_shift(t_pow, guard))
-            t_pow = (t_pow * step + half_unit) >> wide
-            step = (step * s2 + half_unit) >> wide
-        cos_full = cos_k + cos_k[k_points - half - 1 : 0 : -1]
-        theta = [
-            ((1 << 2 * frac) + 2 * sum(
-                w * cos_full[t * k % k_points] for t, w in enumerate(signed_w, 1)
-            ) + (1 << frac - 1)) >> frac
-            for k in range(half + 1)
-        ]
-    w_theta = [th if k == 0 or 2 * k == k_points else 2 * th for k, th in enumerate(theta)]
+    # cos(t theta_k) = (-1)^t cos(2 pi t k / K), with weights
+    # e^{-mu t^2} = s^{t^2}, s = sqrt(q): T(t+1) = T(t) s^{2t+1}
+    half_unit = 1 << (wide - 1)
+    s = math.isqrt((num << 2 * wide) >> b)
+    s2 = (s * s + half_unit) >> wide
+    t_pow, step = s, (s2 * s + half_unit) >> wide
+    signed_w = []
+    for t in range(1, n_top + 1):
+        signed_w.append((-1) ** t * _round_shift(t_pow, guard))
+        t_pow = (t_pow * step + half_unit) >> wide
+        step = (step * s2 + half_unit) >> wide
+    cos_full = cos_k + cos_k[:0:-1]
+    theta = [
+        ((1 << 2 * frac) + 2 * sum(
+            w * cos_full[t * k % k_points] for t, w in enumerate(signed_w, 1)
+        ) + (1 << frac - 1)) >> frac
+        for k in range(n_top + 1)
+    ]
+    w_theta = [theta[0]] + [2 * th for th in theta[1:]]
 
     # y_k = -e^{mu + i theta_k} = e^mu e^{2 pi i k / K};
     # H_{j+1} = (1 + y) H_j - (1 - q^j) y H_{j-1}, with y H_j kept at scale 2 frac
     y_re = [(e_mu * c) >> frac for c in cos_k]
     y_im = [(e_mu * s) >> frac for s in sin_k]
-    h_re, h_im = [1 << frac] * (half + 1), [0] * (half + 1)
-    yh_re, yh_im = [0] * (half + 1), [0] * (half + 1)
+    h_re, h_im = [1 << frac] * (n_top + 1), [0] * (n_top + 1)
+    yh_re, yh_im = [0] * (n_top + 1), [0] * (n_top + 1)
     h_rows = [(h_re, h_im)]
     for c_j in one_minus_qj:
         prev_re, prev_im = yh_re, yh_im
@@ -371,27 +333,27 @@ def _mp_quad_tables(q: float, k_points: int, n_top: int):
 
 def orthogonality_quadrature(m: int, n: int, qp: QParam) -> float:
     """I_mn by trapezoidal quadrature of H_m H_n^* theta_3 over a uniform grid
-    that leaves nothing to alias.
+    on which it is exact.
 
     The rows come from the table of the smallest multiple n_top of 8 that
-    holds H_max(m, n), on K = 2 n_top + t_cut + 1 points (_quad_scale): K
-    points integrate every frequency below K exactly, the H part has degree
-    at most 2 n_top, and every theta_3 coefficient from t_cut on is below
-    half a unit of the table.  The off-diagonal integral cancels values of
-    size ~q^{-(m+n)/2}, so the sum runs on the exact fixed-point tables of
-    _mp_quad_tables: it is an integer dot product, rounded once to a float,
-    and is symmetric in (m, n) bitwise.
+    holds H_max(m, n).  H_m H_n^* has only the Fourier modes -n..m, so only
+    theta_3's modes |t| <= n_top reach the integral, and the table's theta_3
+    is that partial sum (_mp_quad_tables).  The integrand is then a trig
+    polynomial of degree at most 2 n_top, which the K = 2 n_top + 1 points
+    integrate exactly, with no aliasing tail.  The off-diagonal integral
+    cancels values of size ~q^{-(m+n)/2}, so the sum runs on the exact
+    fixed-point tables: it is an integer dot product, rounded once to a
+    float, and is symmetric in (m, n) bitwise.
     """
     if m < 0 or n < 0:
         raise ValueError(f"m, n must be >= 0, got m={m}, n={n}")
     n_top = 8 * max(1, -(-max(m, n) // 8))
-    k_points = 2 * n_top + _quad_scale(qp.q, n_top)[1] + 1
-    frac, rows = _mp_quad_tables(qp.q, k_points, n_top)
+    frac, rows = _mp_quad_tables(qp.q, n_top)
     _, _, wre_m, wim_m = rows[m]
     re_n, im_n = rows[n][:2]
     total = sum(map(mul, wre_m, re_n)) + sum(map(mul, wim_m, im_n))
     # int / int rounds correctly, so the only rounding is this one
-    return total / (k_points << 3 * frac)
+    return total / ((2 * n_top + 1) << 3 * frac)
 
 
 # ---------------------------------------------------------------------------
@@ -399,16 +361,12 @@ def orthogonality_quadrature(m: int, n: int, qp: QParam) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _theta3_bandwidth(mu: float, tol: float) -> int:
-    """Fourier index t where theta_3's coefficient e^{-mu t^2} falls to tol;
+def _t_cutoff(mu: float, tol: float) -> int:
+    """Symmetric truncation bound for the Gaussian-weighted t-sum: one past
+    the Fourier index t where theta_3's coefficient e^{-mu t^2} falls to tol.
     ln(1/tol) is taken as -ln(tol), since 1/tol overflows for a subnormal tol,
     and clamped at 0, since every coefficient is below a tol above 1."""
-    return math.ceil(math.sqrt(max(0.0, -math.log(tol)) / mu))
-
-
-def _t_cutoff(mu: float, tol: float) -> int:
-    """Symmetric truncation bound for the Gaussian-weighted t-sum."""
-    return _theta3_bandwidth(mu, tol) + 1
+    return math.ceil(math.sqrt(max(0.0, -math.log(tol)) / mu)) + 1
 
 
 def _wigner_weights(n: int, qp: QParam, ker_max: float) -> tuple[float, list[float]]:

@@ -39,11 +39,11 @@ GOLDEN = [
     (("wigner", "--q", "0.0811", "--n", "150", "--m", "152", "--grid-points", "4096"),
      "bdba30a5386b63cb7aa252cf33dae824e38313bcd0cf57809e1e317e8d85e5b4"),
     (("verify", "--q", "0.5", "--n", "3"),
-     "661da982818ad7e90c629bead5dd464a503d6c680622838a174faafcc9e57ed0"),
+     "d640e416a346fa7cf52fb88dc54824a8eea0d34bc984aa43cf8972cec3764470"),
     # n = 9 and 10 need the n_top = 16 table beside the n_top = 8 one
     (("verify", "--q", "0.004", "--n", "10"),
      "d83996e192b6394ccca202dd49b54fd81c6437fd55df748ceb52cbadb03d4c23"),
-    # Gaussian theta_3 branch: a 353-point quadrature table and a 512-point angle grid
+    # near q = 1: a 17-point quadrature table and a 512-point angle grid
     (("verify", "--q", "0.998", "--n", "6"),
      "175914ade0d2d66617b4a193eb060993bf283f91c500d30360e7d1ebdbe70355"),
     # [k]_q up to ~950: both algebra residuals stay near eps once scaled by [k+1]_q

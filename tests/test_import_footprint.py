@@ -1,14 +1,14 @@
-"""No command loads mpmath, fractions, numpy, click, dataclasses or inspect,
-and only `qps verify` loads decimal.
+"""No command loads mpmath, fractions, decimal, numpy, click, dataclasses or
+inspect.
 
 Extended-precision modules, numpy and click cost start-up time and memory in
 every process that imports them, and `dataclasses` pulls in `inspect`.  The
-exact oracles run on Python integers; only the quadrature oracle of `qps
-verify` takes three constants from decimal, mpmath and numpy are test-only
-dependencies, and click is needed only by the tests' CliRunner.  These tests
-run the CLI in fresh interpreters, so the modules loaded by the test session
-itself cannot hide an eager import, and run the Wigner paths once with numpy
-made unimportable and every command once with click made unimportable.
+exact oracles of `qps verify` run on Python integers alone, mpmath and numpy
+are test-only dependencies, and click is needed only by the tests' CliRunner.
+These tests run the CLI in fresh interpreters, so the modules loaded by the
+test session itself cannot hide an eager import, and run the Wigner paths
+once with numpy made unimportable and every command once with click made
+unimportable.
 """
 
 import json
@@ -101,7 +101,8 @@ def test_only_verify_loads_the_oracle_modules():
     ]
     for label, modules in loaded.items():
         assert modules == [], label
-    assert verify_loaded == ["decimal"]
+    # the exact oracles build their tables from Python integers alone
+    assert verify_loaded == []
     assert json.loads(result["outputs"]["verify"])["passed"] is True
 
 

@@ -147,14 +147,15 @@ class TestCarlitzRoutes:
 
     @pytest.mark.parametrize("q", [1e-4, 0.004, 0.1, 0.135, 0.5, 0.9, 0.998, 0.9999])
     def test_quadrature_oracle_accuracy(self, q):
-        # against the exact I_mn on the binary value of q: the off-diagonal
-        # integrals cancel terms of size ~q^{-16} down to zero, and the
-        # diagonal is (q;q)_n q^{-n} within one ulp, since at q = 0.5 the
-        # exact value sits on a rounding tie for n = 10, 12 and 14
+        # against the exact I_mn on the binary value of q, through the
+        # n_top = 24 table: the off-diagonal integrals cancel terms of size
+        # ~q^{-24} down to zero, and the diagonal is (q;q)_n q^{-n} within
+        # one ulp, since at q = 0.5 the exact value sits on a rounding tie
+        # for n = 10, 12 and 14
         qp = QParam.from_q(q)
         qf = Fraction(q)
         exact = Fraction(1)
-        for n in range(17):
+        for n in range(25):
             if n:
                 exact *= 1 - qf**n
             for m in range(n + 1):
