@@ -82,7 +82,12 @@ Q_VALUES = [1e-4, 3e-4, 0.004, 0.2, 0.5, 0.998, 0.9994, 0.9999,
             math.exp(-2.0) * (1 - 1e-9), math.exp(-2.0) * (1 + 1e-9)]
 
 
-@pytest.mark.parametrize("n_top", [8, 16, 24])
+# tiny tables (K = 5, 7, 11), the oracle's n_top buckets 8, 16 and 24, and
+# large tables far past them (K = 203, 515)
+N_TOP_VALUES = [2, 3, 5, 8, 16, 24, 101, 257]
+
+
+@pytest.mark.parametrize("n_top", N_TOP_VALUES)
 @pytest.mark.parametrize("q", Q_VALUES)
 def test_tables_equal_the_mpmath_build(q, n_top):
     got = _mp_quad_tables.__wrapped__(q, n_top)
