@@ -42,11 +42,12 @@ independent routes (Carlitz double sum, closed form, theta_3-weighted
 quadrature).  The double sum cancels terms of size q^{-min(m,n)} down to
 zero off the diagonal, far below the double-precision rounding floor, so it
 runs in exact integer arithmetic over one common denominator; the quadrature
-route holds its integrand in Python-integer fixed point, QUADRATURE_DPS digits
-below its largest term, and sums it exactly, for the same reason.  Its tables
-are built from integers alone, with theta_3 as the Fourier partial sum that
-the band-limited integrand can see.  Everything else is double precision, in
-Python floats; qps does not use numpy.
+route writes the theta_3-weighted integral of H_m H_n^* as a finite sum over
+their Fourier coefficients, which the three-term recurrence builds in
+Python-integer fixed point, QUADRATURE_DPS digits below the largest term; it
+sums them exactly, for the same reason.  Its tables are built from integers
+alone.  Everything else is double precision, in Python floats; qps does not
+use numpy.
 """
 
 from __future__ import annotations
@@ -67,9 +68,9 @@ from .theta import theta3
 #: term of its integrand; its fixed-point scale, (QUADRATURE_DPS + 1) log2(10)
 #: bits rounded, grows with n and mu from this
 QUADRATURE_DPS = 35
-#: bits added to that scale to absorb the rounding of the H recurrence and of
-#: the theta_3 sums; the constants rounded onto it are built this many bits
-#: wider still, plus room for the error growth of their recurrences
+#: bits added to that scale to absorb the rounding of the H recurrence; the
+#: constants rounded onto it are built this many bits wider still, plus room
+#: for the error growth of the weights' recurrence
 _QUAD_GUARD_BITS = 20
 
 
@@ -152,8 +153,13 @@ def carlitz_double_sum(m: int, n: int, qp: QParam) -> float:
     for odd, g, e, d in terms:
         term = g * num_pow[e + p_exp] << b * (q_exp - d)
         total += -term if odd else term
-    # int / int rounds correctly, so the only rounding is this one
-    return total / (num_pow[p_exp] << b * q_exp)
+    try:
+        # int / int rounds correctly, so the only rounding is this one
+        return total / (num_pow[p_exp] << b * q_exp)
+    except OverflowError:
+        raise OverflowError(
+            f"Carlitz double sum I_mn overflows double precision at m={m}, n={n}, q={qp.q}"
+        ) from None
 
 
 def carlitz_closed_form(m: int, n: int, qp: QParam) -> float:
@@ -184,60 +190,17 @@ def _round_shift(x: int, bits: int) -> int:
     return r + (rem > half or (rem == half and r & 1))
 
 
-def _arctan_inv(x: int, bits: int) -> int:
-    """arctan(1/x) * 2^bits for an integer x > 1, within a unit per series term."""
-    power = total = (1 << bits) // x
-    x2, k = x * x, 1
-    while power:
-        power //= x2
-        k += 2
-        total += -(power // k) if k & 2 else power // k
-    return total
-
-
-def _pi_fixed(bits: int) -> int:
-    """pi * 2^bits within one unit, from Machin's formula with 16 guard bits."""
-    wide = bits + 16
-    return _round_shift(16 * _arctan_inv(5, wide) - 4 * _arctan_inv(239, wide), 16)
-
-
-def _grid_cos_sin(k_points: int, bits: int) -> tuple[list[int], list[int]]:
-    """cos and sin of 2 pi k / K, times 2^bits, for k = 0..K/2.
-
-    The step's cosine and sine come from their Taylor series; every later
-    point is the previous one rotated by the step, so point k is off by about
-    k times the step's error plus k roundings, a few times K units in all.
-    """
-    one = 1 << bits
-    angle = 2 * _pi_fixed(bits) // k_points
-    c1 = s1 = 0
-    term, i = one, 0
-    while term:
-        signed = -term if i & 2 else term
-        if i & 1:
-            s1 += signed
-        else:
-            c1 += signed
-        i += 1
-        term = term * angle // (i << bits)
-    cos_k, sin_k = [one], [0]
-    half_unit = 1 << (bits - 1)
-    for _ in range(k_points // 2):
-        c, s = cos_k[-1], sin_k[-1]
-        cos_k.append((c * c1 - s * s1 + half_unit) >> bits)
-        sin_k.append((s * c1 + c * s1 + half_unit) >> bits)
-    return cos_k, sin_k
-
-
 def _quad_scale(q: float, n_top: int) -> int:
     """The scale 2^frac of the quadrature tables for the rows H_0..H_{n_top}.
 
-    The Gaussian binomials satisfy 0 <= [j r]_q <= C(j, r), so |H_j(y)| <=
-    (1 + |y|)^j = (1 + e^mu)^j, and theta_3's partial sum is at most
-    1 + sqrt(pi/mu): frac keeps QUADRATURE_DPS digits below that largest
-    integrand term.  The integral cancels from there down to
-    I_nn = (q;q)_n q^{-n} >= (q;q)_{n_top}, so frac also holds
-    -log2 (q;q)_{n_top} more bits, summed as logs so that nothing underflows.
+    The Gaussian binomials satisfy 0 <= [j r]_q <= C(j, r), so the
+    coefficients h_j[r] = (-1)^r [j r]_q e^{mu r} of H_j on its circle
+    (_mp_quad_tables) have sum_r |h_j[r]| <= (1 + e^mu)^j, and the weights
+    e^{-mu d^2} over |d| <= n_top sum to at most 1 + sqrt(pi/mu): frac keeps
+    QUADRATURE_DPS digits below that largest integrand term.  The integral
+    cancels from there down to I_nn = (q;q)_n q^{-n} >= (q;q)_{n_top}, so
+    frac also holds -log2 (q;q)_{n_top} more bits, summed as logs so that
+    nothing underflows.
     """
     mu = -math.log(q) / 2.0
     return (
@@ -252,108 +215,83 @@ def _quad_scale(q: float, n_top: int) -> int:
 
 @lru_cache(maxsize=16)
 def _mp_quad_tables(q: float, n_top: int):
-    """theta_3 and H_0..H_{n_top} over the uniform grid of K = 2 n_top + 1
-    points, in exact fixed point.
+    """The theta_3 weights and the Fourier coefficients of H_0..H_{n_top} on
+    the circle y = -e^{mu + i theta}, in exact fixed point.
 
-    Returns (frac, rows): every value is an integer round(x * 2^frac), and
-    rows[j] = (Re H_j, Im H_j, w theta_3 Re H_j, w theta_3 Im H_j) over the
-    grid points k = 0..n_top.  The points K - k mirror k (theta_3 is even and
-    H_j(conj y) = conj H_j(y)), so each point but k = 0 carries weight w = 2.
-    frac comes from _quad_scale.
+    Returns (frac, weights, rows) of integers round(x * 2^frac), frac from
+    _quad_scale: weights[d] = e^{-mu d^2} for d = 0..n_top, and rows[j][r] =
+    h_j[r], r = 0..j, with H_j(y) = sum_r h_j[r] e^{i r theta}.  The rows come
+    from H_{j+1} = (1 + y) H_j - (1 - q^j) y H_{j-1}, where y shifts a row up
+    one place and scales it by -e^mu, with y H_j kept at scale 2^{2 frac}:
 
-    theta_3 is its Fourier partial sum to t = n_top, the only modes that
-    reach the integral of theta_3 H_m H_n^* for m, n <= n_top.  The constants
-    are built from the binary value q = N / 2^b at a wider scale 2^wide and
-    rounded once onto 2^frac: 1 - q^j = (2^{bj} - N^j) / 2^{bj} is rounded
-    exactly, e^mu = q^{-1/2} and sqrt(q) come from isqrt, and the Fourier
-    weights e^{-mu t^2} = sqrt(q)^{t^2} from the recurrence
-    T(t+1) = T(t) sqrt(q)^{2t+1}.  The grid cosines and sines rotate one
-    Taylor-series step, with pi from Machin's formula.  Cached per (q, basis
-    bucket).  The name keeps its mp (multi-precision) prefix because
-    perfbench/tracer.py binds this cache by name.
+        h_{j+1}[r] = h_j[r] - e^mu h_j[r-1] + (1 - q^j) e^mu h_{j-1}[r-1].
+
+    Not being the product formula's Gaussian binomials, they keep this route
+    independent of Carlitz's.  The constants are built from the binary value
+    q = N / 2^b at a wider scale 2^wide and rounded once onto 2^frac:
+    1 - q^j = (2^{bj} - N^j) / 2^{bj} exactly, e^mu = q^{-1/2} and sqrt(q) by
+    isqrt, and e^{-mu d^2} = sqrt(q)^{d^2} by T(d+1) = T(d) sqrt(q)^{2d+1}.
+    Cached per (q, basis bucket).  The name keeps its mp (multi-precision)
+    prefix because perfbench/tracer.py binds this cache by name.
     """
     frac = _quad_scale(q, n_top)
-    k_points = 2 * n_top + 1
-    # the working scale absorbs the grid rotation's error, which grows like K
-    guard = _QUAD_GUARD_BITS + 2 * k_points.bit_length() + 16
+    # the weight recurrence's rounding error grows like n_top^2 units of 2^-wide
+    guard = _QUAD_GUARD_BITS + 2 * n_top.bit_length()
     wide = frac + guard
     num, den = q.as_integer_ratio()
     b = den.bit_length() - 1
 
-    cos_w, sin_w = _grid_cos_sin(k_points, wide)
-    cos_k = [_round_shift(c, guard) for c in cos_w]
-    sin_k = [_round_shift(s, guard) for s in sin_w]
     e_mu = _round_shift(math.isqrt((1 << (b + 2 * wide)) // num), guard)
     one_minus_qj = [_round_shift((den**j - num**j) << frac, b * j) for j in range(n_top)]
-    # cos(t theta_k) = (-1)^t cos(2 pi t k / K), with weights
-    # e^{-mu t^2} = s^{t^2}, s = sqrt(q): T(t+1) = T(t) s^{2t+1}
     half_unit = 1 << (wide - 1)
     s = math.isqrt((num << 2 * wide) >> b)
     s2 = (s * s + half_unit) >> wide
-    t_pow, step = s, (s2 * s + half_unit) >> wide
-    signed_w = []
-    for t in range(1, n_top + 1):
-        signed_w.append((-1) ** t * _round_shift(t_pow, guard))
+    t_pow, step = 1 << wide, s
+    weights = []
+    for _ in range(n_top + 1):
+        weights.append(_round_shift(t_pow, guard))
         t_pow = (t_pow * step + half_unit) >> wide
         step = (step * s2 + half_unit) >> wide
-    cos_full = cos_k + cos_k[:0:-1]
-    theta = [
-        ((1 << 2 * frac) + 2 * sum(
-            w * cos_full[t * k % k_points] for t, w in enumerate(signed_w, 1)
-        ) + (1 << frac - 1)) >> frac
-        for k in range(n_top + 1)
-    ]
-    w_theta = [theta[0]] + [2 * th for th in theta[1:]]
 
-    # y_k = -e^{mu + i theta_k} = e^mu e^{2 pi i k / K};
-    # H_{j+1} = (1 + y) H_j - (1 - q^j) y H_{j-1}, with y H_j kept at scale 2 frac
-    y_re = [(e_mu * c) >> frac for c in cos_k]
-    y_im = [(e_mu * s) >> frac for s in sin_k]
-    h_re, h_im = [1 << frac] * (n_top + 1), [0] * (n_top + 1)
-    yh_re, yh_im = [0] * (n_top + 1), [0] * (n_top + 1)
-    h_rows = [(h_re, h_im)]
+    h, yh = [1 << frac], [0]
+    rows = [h]
     for c_j in one_minus_qj:
-        prev_re, prev_im = yh_re, yh_im
-        yh_re = [a * c - b * d for a, b, c, d in zip(y_re, y_im, h_re, h_im)]
-        yh_im = [a * d + b * c for a, b, c, d in zip(y_re, y_im, h_re, h_im)]
-        h_re = [
-            ((h << frac) + u - ((c_j * v) >> frac)) >> frac
-            for h, u, v in zip(h_re, yh_re, prev_re)
-        ]
-        h_im = [
-            ((h << frac) + u - ((c_j * v) >> frac)) >> frac
-            for h, u, v in zip(h_im, yh_im, prev_im)
-        ]
-        h_rows.append((h_re, h_im))
-    return frac, tuple(
-        (re, im, [w * h for w, h in zip(w_theta, re)], [w * h for w, h in zip(w_theta, im)])
-        for re, im in h_rows
-    )
+        prev = yh + [0]
+        yh = [0] + [-e_mu * x for x in h]
+        h = [((x << frac) + u - ((c_j * v) >> frac)) >> frac for x, u, v in zip(h + [0], yh, prev)]
+        rows.append(h)
+    return frac, weights, tuple(rows)
 
 
 def orthogonality_quadrature(m: int, n: int, qp: QParam) -> float:
-    """I_mn by trapezoidal quadrature of H_m H_n^* theta_3 over a uniform grid
-    on which it is exact.
+    """I_mn = integral of theta_3 H_m H_n^* d(theta)/(2 pi), which with
+    y = -e^{mu + i theta} and H_j(y) = sum_r h_j[r] e^{i r theta} is exactly
+    the finite sum
 
-    The rows come from the table of the smallest multiple n_top of 8 that
-    holds H_max(m, n).  H_m H_n^* has only the Fourier modes -n..m, so only
-    theta_3's modes |t| <= n_top reach the integral, and the table's theta_3
-    is that partial sum (_mp_quad_tables).  The integrand is then a trig
-    polynomial of degree at most 2 n_top, which the K = 2 n_top + 1 points
-    integrate exactly, with no aliasing tail.  The off-diagonal integral
-    cancels values of size ~q^{-(m+n)/2}, so the sum runs on the exact
-    fixed-point tables: it is an integer dot product, rounded once to a
-    float, and is symmetric in (m, n) bitwise.
+        sum_{r,s} h_m[r] h_n[s] e^{-mu (r-s)^2}
+
+    over the table of the smallest multiple n_top of 8 that holds
+    H_max(m, n) (_mp_quad_tables).  The off-diagonal integral cancels values
+    of size ~q^{-(m+n)/2}, so the sum runs on the exact fixed-point tables:
+    an integer sum, rounded once to a float and symmetric in (m, n) bitwise.
+    OverflowError names m, n and q past double range.  The name says
+    quadrature because perfbench/tracer.py binds it and qps exports it.
     """
     if m < 0 or n < 0:
         raise ValueError(f"m, n must be >= 0, got m={m}, n={n}")
     n_top = 8 * max(1, -(-max(m, n) // 8))
-    frac, rows = _mp_quad_tables(qp.q, n_top)
-    _, _, wre_m, wim_m = rows[m]
-    re_n, im_n = rows[n][:2]
-    total = sum(map(mul, wre_m, re_n)) + sum(map(mul, wim_m, im_n))
-    # int / int rounds correctly, so the only rounding is this one
-    return total / ((2 * n_top + 1) << 3 * frac)
+    frac, weights, rows = _mp_quad_tables(qp.q, n_top)
+    h_m, h_n = rows[m], rows[n]
+    total = weights[0] * sum(map(mul, h_m, h_n))
+    for d in range(1, max(m, n) + 1):
+        total += weights[d] * (sum(map(mul, h_m, h_n[d:])) + sum(map(mul, h_m[d:], h_n)))
+    try:
+        # int / int rounds correctly, so the only rounding is this one
+        return total / (1 << 3 * frac)
+    except OverflowError:
+        raise OverflowError(
+            f"quadrature I_mn overflows double precision at m={m}, n={n}, q={qp.q}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ def report(num: int, ok: bool, detail: str):
 
 
 def test_criterion_01_orthogonality_triangle():
-    """Double sum, closed form and spectral quadrature agree pairwise to
-    1e-10 for 0 <= m, n <= 10 at q in {0.1, 0.5, 0.9}, within 5 s."""
+    """Double sum, closed form and the theta_3-weighted sum over the Fourier
+    coefficients of H_m and H_n agree pairwise to 1e-10 for 0 <= m, n <= 10
+    at q in {0.1, 0.5, 0.9}, within 5 s."""
     start = time.perf_counter()
     worst = 0.0
     for q in Q_TRIO:

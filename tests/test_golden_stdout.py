@@ -39,7 +39,7 @@ GOLDEN = [
     (("wigner", "--q", "0.0811", "--n", "150", "--m", "152", "--grid-points", "4096"),
      "bdba30a5386b63cb7aa252cf33dae824e38313bcd0cf57809e1e317e8d85e5b4"),
     (("verify", "--q", "0.5", "--n", "3"),
-     "d640e416a346fa7cf52fb88dc54824a8eea0d34bc984aa43cf8972cec3764470"),
+     "10f02ac7dc4c00581bd9c74590bf5a2a5c505db61c2d84b42d1e4021413fa813"),
     # n = 9 and 10 need the n_top = 16 table beside the n_top = 8 one
     (("verify", "--q", "0.004", "--n", "10"),
      "d83996e192b6394ccca202dd49b54fd81c6437fd55df748ceb52cbadb03d4c23"),

@@ -192,6 +192,13 @@ class TestCarlitzRoutes:
         with pytest.raises(OverflowError, match=r"q\^-n .* n=100, q=0\.0001"):
             carlitz_closed_form(100, 100, QParam.from_q(1e-4))
 
+    @pytest.mark.parametrize("route,name", [(carlitz_double_sum, "Carlitz double sum"),
+                                            (orthogonality_quadrature, "quadrature")])
+    def test_exact_route_overflow_names_route(self, route, name):
+        # I_88 = (q;q)_8 q^-8 = 1e320 at q = 1e-40, past double range
+        with pytest.raises(OverflowError, match=rf"^{name} .* m=8, n=8, q=1e-40$"):
+            route(8, 8, QParam.from_q(1e-40))
+
 
 class TestWignerEval:
     def test_ground_state_reduces_to_single_sum(self):
