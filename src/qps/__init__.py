@@ -7,7 +7,7 @@ with its action/angle marginals (wigner).  The relation checks behind
 `qps verify` live in qps.verify and the command-line front end in qps.cli.
 """
 
-from .errors import ImaginaryResidueError, NonConvergenceError
+from .errors import NonConvergenceError
 from .qalgebra import (
     AlgebraReport,
     apply_Adag_poly,
@@ -52,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgebraReport",
-    "ImaginaryResidueError",
     "MU_SWITCH",
     "NonConvergenceError",
     "QParam",

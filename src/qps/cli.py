@@ -14,7 +14,7 @@ import math
 import sys
 from contextlib import contextmanager
 
-from .errors import ImaginaryResidueError, NonConvergenceError
+from .errors import NonConvergenceError
 from .qseries import QParam
 from .rspoly import rs_abs_squared_rows, rs_coefficients
 from .theta import theta3
@@ -178,7 +178,7 @@ def numeric_exit():
     """Map library errors onto the exit-code contract."""
     try:
         yield
-    except (NonConvergenceError, ImaginaryResidueError, OverflowError) as exc:
+    except (NonConvergenceError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(EXIT_NONCONVERGENT)
     except ValueError as exc:

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+There is no error for an imaginary residue: the shift-averaged kernel makes
+the Wigner spectrum even by construction (qps.wigner), so its sum is real
+and a run-time check of that could never fire.
+"""
 
 from __future__ import annotations
 
@@ -17,14 +22,3 @@ class NonConvergenceError(RuntimeError):
         self.what = what
         self.cap = cap
 
-
-class ImaginaryResidueError(RuntimeError):
-    """A quantity that must assemble to a real number kept a large imaginary part.
-
-    This signals an implementation or truncation bug, not a data condition.
-    """
-
-    def __init__(self, what: str, residue: float, tol: float):
-        super().__init__(f"{what}: |imaginary residue| {residue:.3e} >= tol {tol:.3e}")
-        self.residue = residue
-        self.tol = tol

@@ -21,10 +21,13 @@ shift-averaged kernel
     K(m; t, r, s) = [sinc((m-(t+r+s)/2) pi) + sinc((m-(r+s-t)/2) pi)] / 2,
 
 which is even in t, pairs every term with its conjugate, and leaves both
-marginals, the n = 0 case, and all closed forms unchanged.
+marginals, the n = 0 case, and all closed forms unchanged.  It makes the
+frequency slices f and -f of the sum hold the same addends, so the result
+is real by construction and no imaginary residue is left to check.
 
 Production code assembles the sum once, as a folded cosine spectrum in theta
-(_wigner_spectrum), and the theta-resolved quantities are views on it:
+(_wigner_spectrum) over the slices f >= 0 alone, with tol setting only the
+Gaussian cut of the t-sum, and the theta-resolved quantities are views on it:
 wigner_grid sums its cosine series at each angle of a sequence (O(K + F)
 memory for K angles and F frequencies), and angle_distribution_from_wigner
 swaps the sinc kernel for its summed action window.  action_distribution
@@ -56,10 +59,9 @@ import cmath
 import math
 from collections.abc import Callable, Sequence
 from functools import lru_cache, partial
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import mul
 
-from .errors import ImaginaryResidueError
 from .qseries import QParam, _qbinomial_row, qfactorial
 from .rspoly import _abs_squared_rows, _rs_row
 from .theta import theta3
@@ -340,12 +342,13 @@ def _wigner_spectrum(
     [-t_cut, 2n + t_cut].  Each frequency slice f = t + r - s is assembled on
     its own and summed exactly by one math.fsum, so only one slice's addends
     are held at a time: for each t the pairs lie on the diagonal r - s = f - t,
-    whose weights a_r a_{r-d} are built once per |d|.  The +f and -f slices
-    hold the same addend multiset, so the unfolded spectrum is even in f
-    bitwise unless the kernel structure is broken, and an odd part at or
-    above tol raises ImaginaryResidueError.  An addend bound past double
-    range, or a prefactor 1/(q;q)_n past it, raises OverflowError
-    (_wigner_weights).
+    whose weights a_r a_{r-d} are built once per |d|.  The averaged kernel
+    row of -t is the row of t with its two operands swapped, and e^{-mu t^2}
+    is even, so slice -f holds exactly the addends of slice f: the spectrum
+    is even by construction, only f >= 0 is summed, and each f > 0 slice
+    counts twice.  tol only sets the Gaussian cut t_cut.  An addend bound
+    past double range, or a prefactor 1/(q;q)_n past it, raises
+    OverflowError (_wigner_weights).
     """
     t_cut = _t_cutoff(qp.mu, tol)
     # kernel(c2) is ker_table[c2 + t_cut]
@@ -367,8 +370,8 @@ def _wigner_spectrum(
         # after the reversal the kernel of pair i of diagonal d is row[2i + d]
         row.reverse()
         kers.append(row)
-    amp = {}
-    for f in range(-(n + t_cut), n + t_cut + 1):
+    freqs, amps = [], []
+    for f in range(n + t_cut + 1):
         parts = []
         for t in range(max(-t_cut, f - n), min(t_cut, f + n) + 1):
             d = abs(f - t)
@@ -376,15 +379,12 @@ def _wigner_spectrum(
             ker = kers[t + t_cut][d::2]
             parts += [(wt * w) * k for w, k in zip(diags[d], ker) if k != 0.0]
         if parts:
-            amp[f] = math.fsum(parts)
-    residue = pref * max((abs(amp[f] - amp.get(-f, 0.0)) for f in amp), default=0.0)
-    if residue >= tol:
-        raise ImaginaryResidueError("wigner_spectrum", residue, tol)
-    folded: dict[int, float] = {}
-    for f, x in amp.items():
-        folded[abs(f)] = folded.get(abs(f), 0.0) + x
-    freqs = tuple(sorted(folded))
-    return pref, freqs, tuple(folded[f] for f in freqs)
+            # slice -f is this slice bitwise; folding it on as (0.0 + x) + x
+            # turns a -0.0 slice into +0.0
+            x = 0.0 + math.fsum(parts)
+            freqs.append(f)
+            amps.append(x + x if f else x)
+    return pref, tuple(freqs), tuple(amps)
 
 
 def wigner_one_sided(
@@ -487,24 +487,19 @@ def angle_distribution(n: int, theta: float, qp: QParam, tol: float = 1e-12) -> 
     return angle_table(n, qp, (theta,), tol)[0]
 
 
-def _one_sided_partials(count: int) -> list[float]:
-    """Partial sums P[j] = sum_{k<j} (-1)^k / ((k + 1/2) pi) (one tail of the
-    half-odd sinc lattice; converges to 1/2)."""
-    terms = ((-1.0 if k & 1 else 1.0) / ((k + 0.5) * math.pi) for k in range(count))
-    return list(accumulate(terms, initial=0.0))
-
-
 def angle_distribution_from_wigner(
     n: int, theta: float, qp: QParam, m_cut: int, tol: float = 1e-12
 ) -> float:
     """Angle marginal by summing the Wigner function over m in [-m_cut, m_cut].
 
-    Around each half-odd sinc center c the window contributes the symmetric
-    pairs m = c +- (k + 1/2) (combined via one-sided partial-sum tables)
-    plus the boundary singles of the longer side; the two alternating tail
-    errors then cancel in leading order, leaving an O(1/m_cut^2) residual
-    against angle_distribution.  Integer centers inside the window
-    contribute exactly 1.
+    The spectrum's sinc kernel is swapped for its window sum over m of
+    sinc((m - c) pi), one math.fsum per centre c.  Around each half-odd
+    centre c the window holds the symmetric pairs
+    m = c +- (k + 1/2) plus the boundary singles of the longer side; the two
+    alternating tail errors then cancel in leading order, leaving an
+    O(1/m_cut^2) residual against angle_distribution.  Integer centres
+    inside the window contribute exactly 1.  tol only sets the Gaussian cut
+    of the t-sum.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -512,17 +507,9 @@ def angle_distribution_from_wigner(
         raise ValueError(f"m_cut must be >= n + 10, got m_cut={m_cut}, n={n}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    partials = _one_sided_partials(m_cut + _t_cutoff(qp.mu, tol) + 2 * n + 4)
 
     def window(c2: int) -> float:
-        # sum over m in [-m_cut, m_cut] of sinc((m - c2/2) pi)
-        if c2 % 2 == 0:
-            return 1.0 if abs(c2 // 2) <= m_cut else 0.0
-        k_right = m_cut - (c2 - 1) // 2
-        k_left = m_cut + (c2 + 1) // 2
-        return (partials[k_right] if k_right > 0 else 0.0) + (
-            partials[k_left] if k_left > 0 else 0.0
-        )
+        return math.fsum(sinc_kernel(m, c2) for m in range(-m_cut, m_cut + 1))
 
     pref, freqs, amps = _wigner_spectrum(n, qp, tol, window)
     return pref * _cosine_series(freqs, amps, theta)
@@ -531,6 +518,11 @@ def angle_distribution_from_wigner(
 def circular_variance(values: Sequence[float], thetas: Sequence[float]) -> float:
     """Circular variance 1 - |<e^{i theta}>| of a density sampled on the uniform
     grid thetas (phase_grid); smaller means a narrower angle distribution."""
+    if len(values) != len(thetas) or len(thetas) == 0:
+        raise ValueError(
+            f"need one value per angle and at least one angle, got {len(values)} values "
+            f"and {len(thetas)} angles"
+        )
     weight = 1.0 / len(thetas)
     total = weight * math.fsum(values)
     resultant = weight * complex(

@@ -226,17 +226,6 @@ class TestWignerEval:
         value = wigner_grid(0, 0, QParam.from_q(0.5), (0.0,), 1e-14)[0]
         assert value == pytest.approx(1.8816036793287345, rel=1e-14)
 
-    @pytest.mark.parametrize("q", (0.1, 0.3, 0.5, 0.7, 0.9))
-    def test_reality_across_sample(self, q):
-        # tol = 1e-12 makes the call itself the residue assertion
-        qp = QParam.from_q(q)
-        thetas = np.linspace(-math.pi, math.pi, 20, endpoint=False)
-        ms = np.round(np.linspace(-3, 12, 20)).astype(int)
-        for n in range(6):
-            for m in ms:
-                for th in thetas[::4]:
-                    wigner_grid(n, int(m), qp, (float(th),), 1e-12)
-
     def test_takes_negative_values_somewhere(self):
         # quasiprobability: the off-diagonal n = 1, m = 0 slice goes negative
         qp = QParam.from_q(0.5)
@@ -437,3 +426,12 @@ class TestFigureBehavior:
             table = angle_table(0, QParam.from_mu(mu), GRID)
             cvs.append(circular_variance(table, GRID))
         assert cvs[0] > cvs[1] > cvs[2]
+
+    @pytest.mark.parametrize("count", (5, 3))
+    def test_circular_variance_rejects_length_mismatch(self, count):
+        with pytest.raises(ValueError, match=f"got {count} values and 4 angles"):
+            circular_variance([1.0] * count, phase_grid(4))
+
+    def test_circular_variance_rejects_empty_grid(self):
+        with pytest.raises(ValueError, match="got 0 values and 0 angles"):
+            circular_variance((), ())
