@@ -2,12 +2,18 @@
 
 Subpackages follow the pipeline: scalar q-series primitives (qseries),
 Rogers-Szego polynomials and functions (rspoly), the Jacobi theta_3 weight
-(theta), the ladder-operator algebra (qalgebra), and the Wigner function
+(theta), the ladder-operator algebra (qalgebra), the orthogonality of the
+polynomial family by three routes (orthogonality), and the Wigner function
 with its action/angle marginals (wigner).  The relation checks behind
 `qps verify` live in qps.verify and the command-line front end in qps.cli.
 """
 
 from .errors import NonConvergenceError
+from .orthogonality import (
+    carlitz_closed_form,
+    carlitz_double_sum,
+    orthogonality_quadrature,
+)
 from .qalgebra import (
     AlgebraReport,
     apply_Adag_poly,
@@ -38,10 +44,7 @@ from .wigner import (
     angle_distribution,
     angle_distribution_from_wigner,
     angle_table,
-    carlitz_closed_form,
-    carlitz_double_sum,
     circular_variance,
-    orthogonality_quadrature,
     phase_grid,
     sinc_kernel,
     wigner_grid,

@@ -11,6 +11,11 @@ from __future__ import annotations
 
 import math
 
+from .orthogonality import (
+    carlitz_closed_form,
+    carlitz_double_sum,
+    orthogonality_quadrature,
+)
 from .qalgebra import verify_algebra
 from .qseries import QParam, qfactorial
 from .theta import theta3_gaussian, theta3_series
@@ -18,9 +23,6 @@ from .wigner import (
     _angle_columns,
     _t_cutoff,
     action_distribution,
-    carlitz_closed_form,
-    carlitz_double_sum,
-    orthogonality_quadrature,
     phase_grid,
 )
 

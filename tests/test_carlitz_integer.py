@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qps import QParam
-from qps.wigner import carlitz_double_sum
+from qps.orthogonality import carlitz_double_sum
 
 
 def carlitz_fraction(m: int, n: int, q: float) -> float:

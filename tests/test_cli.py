@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import qps
 from qps import NonConvergenceError, QParam, theta3
 from qps.cli import build_verify_report, cli
-from qps.wigner import _mp_quad_tables
+from qps.orthogonality import _mp_quad_tables
 
 runner = CliRunner()
 COMMANDS = ["poly", "theta", "angle-dist", "action-dist", "wigner", "verify"]

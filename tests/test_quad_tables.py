@@ -14,7 +14,7 @@ import mpmath as mp
 import pytest
 
 from qps.qseries import QParam, _qbinomial_row
-from qps.wigner import _QUAD_GUARD_BITS, QUADRATURE_DPS, _mp_quad_tables
+from qps.orthogonality import _QUAD_GUARD_BITS, QUADRATURE_DPS, _mp_quad_tables
 
 
 def reference_quad_tables(q, n_top):

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import qps.cli
+import qps.orthogonality
 import qps.qseries
 import qps.verify
 import qps.wigner
@@ -48,6 +49,29 @@ def test_caches_are_the_library_lru_caches(tracer):
     for name, cache in tracer.CACHES.items():
         assert callable(cache.cache_info), name
         assert callable(cache.cache_clear), name
+
+
+def test_wigner_aliases_are_the_orthogonality_objects():
+    # the tracer binds these three by their qps.wigner names
+    for attr in ("carlitz_double_sum", "orthogonality_quadrature", "_mp_quad_tables"):
+        assert getattr(qps.wigner, attr) is getattr(qps.orthogonality, attr), attr
+
+
+def test_install_wraps_every_binding_of_a_route(tracer):
+    modules = (qps.orthogonality, qps.wigner, qps.verify)
+    routes = ("carlitz_double_sum", "orthogonality_quadrature")
+    originals = {attr: getattr(qps.orthogonality, attr) for attr in routes}
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        for attr in routes:
+            wrapper = getattr(qps.wigner, attr)
+            assert wrapper is not originals[attr], attr
+            assert all(getattr(module, attr) is wrapper for module in modules), attr
+    finally:
+        tr.uninstall()
+    for attr in routes:
+        assert all(getattr(module, attr) is originals[attr] for module in modules), attr
 
 
 def test_verify_report_and_its_layers_are_traced(tracer, capsys):

@@ -435,3 +435,8 @@ class TestFigureBehavior:
     def test_circular_variance_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="got 0 values and 0 angles"):
             circular_variance((), ())
+
+    @pytest.mark.parametrize("values", ([0.0] * 4, [1.0, -1.0, 1.0, -1.0]))
+    def test_circular_variance_rejects_zero_mass(self, values):
+        with pytest.raises(ValueError, match="total mass is 0.0"):
+            circular_variance(values, phase_grid(4))
